@@ -99,7 +99,7 @@ def _cmd_simulate(args):
         emit_results(result, args.out, fmt=args.format)
         print(f"wrote {args.out}")
     else:
-        emit_results(result, "/dev/stdout", fmt=args.format)
+        sys.stdout.write(emit_results(result, fmt=args.format))
     total = sum(result.excluded)
     if total:
         print(f"excluded {total} non-converged trials", file=sys.stderr)
@@ -138,19 +138,13 @@ def _cmd_compare(args):
     better = "inseparable" if ci < cl else "local"
     print(f"smaller asymptotic error: {better} set")
     if args.out:
-        sep = ","
-        cols = ["basis", "lambda", "mean_fidelity", "mean_bures_sq",
-                "std_bures_sq", "cov_trace", "bound"]
-        lines = [sep.join(cols)]
+        rows = []
         for basis, res in (("local", cmp_.local),
                            ("inseparable", cmp_.inseparable)):
-            for i, lam in enumerate(res.lam_values):
-                row = (lam, res.mean_fidelity[i], res.mean_bures_sq[i],
-                       res.std_bures_sq[i], res.cov_trace[i], res.bound[i])
-                lines.append(basis + sep +
-                             sep.join("%.12g" % v for v in row))
+            header, *body = emit_results(res).splitlines()
+            rows += [basis + "," + row for row in body]
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(["basis," + header] + rows) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -15,12 +15,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from .exceptions import InvariantViolation
-from .projectors import check_counts, linear_tomography, mean_counts
+from .exceptions import InvariantViolation, TomographyError
+from .projectors import (check_counts, linear_tomography, mean_counts,
+                         means_and_derivatives)
 from .states import (
     CholeskyModel,
     RANK_NPARAMS,
-    T_LAYOUT,
+    cholesky_from_density,
     density_from_cholesky,
     density_from_pauli,
     params_from_triangular,
@@ -59,66 +60,19 @@ def log_likelihood(model, counts, pset):
     return float(np.sum(-m + n * np.log(m) - gammaln(n + 1.0)))
 
 
-# mean counts are quadratic forms M_nu = theta^T Q_nu theta; the Q
-# stack depends only on (rank, operator set) and is cached.
-_QCACHE = {}
-
-
-def _basis_matrices(rank):
-    k = RANK_NPARAMS[rank]
-    E = np.zeros((k, 4, 4), dtype=complex)
-    for i, (row, col, is_imag) in enumerate(T_LAYOUT[:k]):
-        E[i, row, col] = 1j if is_imag else 1.0
-    return E
-
-
-def _quadratic_forms(rank, pset):
-    key = (rank, pset.operators.tobytes())
-    q = _QCACHE.get(key)
-    if q is None:
-        E = _basis_matrices(rank)
-        # Q[nu,i,j] = Re Tr[P_nu E_i E_j*]
-        q = np.real(np.einsum('nab,ibc,jac->nij', pset.operators,
-                              E, E.conj(), optimize=True))
-        q = 0.5 * (q + np.transpose(q, (0, 2, 1)))
-        _QCACHE[key] = q
-    return q
-
-
 def log_likelihood_gradient(model, counts, pset):
     """Closed-form score sum_nu (n/M - 1) dM/dtheta."""
     n = check_counts(counts)
-    q = _quadratic_forms(model.rank, pset)
-    theta = model.params
-    m = np.maximum(np.einsum('nij,i,j->n', q, theta, theta), MEAN_CLAMP)
-    dm = 2.0 * np.einsum('nij,j->ni', q, theta)
-    return (n / m - 1.0) @ dm
+    m, dm = means_and_derivatives(model.params, pset)
+    return (n / np.maximum(m, MEAN_CLAMP) - 1.0) @ dm
 
 
-def _negloglik_and_grad(theta, n, q, lgamma):
-    m = np.einsum('nij,i,j->n', q, theta, theta)
+def _negloglik_and_grad(theta, n, pset, lgamma):
+    m, dm = means_and_derivatives(theta, pset)
     m = np.maximum(m, MEAN_CLAMP)
     f = -np.sum(-m + n * np.log(m)) + lgamma
-    dm = 2.0 * np.einsum('nij,j->ni', q, theta)
     g = -((n / m - 1.0) @ dm)
     return f, g
-
-
-def _rank_factor(rho, lam, rank):
-    """theta for a rank-limited Cholesky factor approximating lam*rho."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    order = np.argsort(w)[::-1][:rank]
-    a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho
-    # LQ: A = R* Q* with R* lower-trapezoidal; column phases fixed real
-    qm, r = np.linalg.qr(a.conj().T)
-    t4 = np.zeros((4, 4), dtype=complex)
-    t4[:, :rank] = r.conj().T
-    for j in range(rank):
-        d = t4[j, j]
-        if abs(d) > 0:
-            t4[:, j] *= np.conj(d) / abs(d)
-    return params_from_triangular(t4, rank)
 
 
 def _initial_theta(counts, pset, rank):
@@ -127,7 +81,7 @@ def _initial_theta(counts, pset, rank):
     try:
         phi, lam = linear_tomography(n, pset)
         rho = density_from_pauli(phi)
-    except Exception:
+    except TomographyError:
         lam = max(float(n.sum()) / 4.0, 1.0)
         rho = np.eye(4, dtype=complex) / 4.0
     rho = 0.5 * (rho + rho.conj().T)
@@ -135,9 +89,7 @@ def _initial_theta(counts, pset, rank):
     w = np.clip(w, 1e-6, None)
     rho = (v * w) @ v.conj().T
     rho /= np.trace(rho).real
-    if lam <= 0:
-        lam = max(float(n.sum()) / 4.0, 1.0)
-    return _rank_factor(rho, lam, rank)
+    return cholesky_from_density(rho, lam, rank).params
 
 
 def mle(rank, counts, pset, init=None, seed=0, extra_inits=(),
@@ -150,7 +102,6 @@ def mle(rank, counts, pset, init=None, seed=0, extra_inits=(),
     deterministic given (counts, init, seed).
     """
     n = check_counts(counts)
-    q = _quadratic_forms(rank, pset)
     lgamma = float(np.sum(gammaln(n + 1.0)))
     k = RANK_NPARAMS[rank]
 
@@ -175,17 +126,17 @@ def mle(rank, counts, pset, init=None, seed=0, extra_inits=(),
     best = None
     total_iter = 0
     for x0 in starts:
-        res = minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
+        res = minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
                        jac=True, method="BFGS",
                        options={"gtol": 1e-7, "maxiter": 2000})
         total_iter += int(res.nit)
         gexit = float(np.max(np.abs(res.jac)))
         if not res.success and gexit > 1e-6 * max(1.0, abs(res.fun)):
             # genuine stall away from a stationary point: simplex polish
-            res2 = minimize(lambda t: _negloglik_and_grad(t, n, q, lgamma)[0],
-                            res.x, method="Nelder-Mead",
-                            options={"maxiter": 4000, "xatol": 1e-9,
-                                     "fatol": 1e-9})
+            res2 = minimize(
+                lambda t: _negloglik_and_grad(t, n, pset, lgamma)[0],
+                res.x, method="Nelder-Mead",
+                options={"maxiter": 4000, "xatol": 1e-9, "fatol": 1e-9})
             total_iter += int(res2.nit)
             if res2.fun <= res.fun:
                 res = res2

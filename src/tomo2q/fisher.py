@@ -21,11 +21,9 @@ from .exceptions import (
     InvariantViolation,
     UnboundedInformationError,
 )
-from .estimation import _basis_matrices, _quadratic_forms, \
-    log_likelihood_gradient
-from .linalg import pinv
-from .projectors import mean_counts
-from .states import CholeskyModel, density_from_cholesky, triangular
+from .linalg import RELATIVE_PINV_TOL, pinv
+from .projectors import means_and_derivatives
+from .states import T_BASIS, density_from_cholesky, triangular
 
 _SYM_TOL = 1e-10
 _PSD_FLOOR = 1e-8
@@ -81,20 +79,12 @@ def density_gradient(model):
     t4 = triangular(model)
     lam = model.lambda_scale
     rho = density_from_cholesky(model)
-    E = _basis_matrices(model.rank)
+    E = T_BASIS[:model.nparams]
     dw = np.einsum('iab,cb->iac', E, t4.conj())     # E_i T*
     dw = dw + np.transpose(dw.conj(), (0, 2, 1))    # + T E_i*
     dtr = np.real(np.trace(dw, axis1=1, axis2=2))
     grads = dw / lam - rho[None, :, :] * (dtr / lam)[:, None, None]
     return [0.5 * (g + g.conj().T) for g in grads]
-
-
-def _mean_derivatives(model, pset):
-    q = _quadratic_forms(model.rank, pset)
-    theta = model.params
-    m = np.einsum('nij,i,j->n', q, theta, theta)
-    dm = 2.0 * np.einsum('nij,j->ni', q, theta)
-    return m, dm
 
 
 def fisher_analytic(model, pset, acquisition_time=1.0):
@@ -107,7 +97,7 @@ def fisher_analytic(model, pset, acquisition_time=1.0):
     t = float(acquisition_time)
     if t <= 0:
         raise InvariantViolation("acquisition time must be positive")
-    m, dm = _mean_derivatives(model, pset)
+    m, dm = means_and_derivatives(model.params, pset)
     scale = max(model.lambda_scale, 1.0)
     alive = m > 1e-9 * scale
     dead_grad = np.abs(dm[~alive]).max() if (~alive).any() else 0.0
@@ -135,7 +125,7 @@ def fisher_mc(model, pset, n_samples, sampling="poisson", seed=0):
         raise InvariantViolation("n_samples must be at least 100")
     if sampling not in ("gaussian", "poisson"):
         raise InvariantViolation("sampling must be 'gaussian' or 'poisson'")
-    m, dm = _mean_derivatives(model, pset)
+    m, dm = means_and_derivatives(model.params, pset)
     m = np.maximum(m, 1e-12)
     rng = np.random.default_rng(seed)
     if sampling == "poisson":
@@ -151,24 +141,24 @@ def fisher_mc(model, pset, n_samples, sampling="poisson", seed=0):
                         acquisition_scale=model.lambda_scale)
 
 
-def score(model, counts, pset):
-    """Score vector of the Poisson model; zero-mean at the truth."""
-    return log_likelihood_gradient(model, counts, pset)
-
-
 def sld(rho, drho):
     """Symmetric logarithmic derivative: solve drho = (L rho + rho L)/2.
 
-    The map X -> (X rho + rho X)/2 is vectorized to a 16x16 system and
-    inverted with the Moore-Penrose pseudoinverse, giving the unique
-    minimum-norm Hermitian solution on the support.
+    In the eigenbasis rho = sum_i p_i |i><i| the solution is
+    L_ij = 2 drho_ij / (p_i + p_j) (Braunstein & Caves, PRL 72, 3439,
+    1994).  Entries with p_i + p_j <= RELATIVE_PINV_TOL * max(p_i + p_j)
+    are set to zero: (p_i + p_j)/2 are the singular values of the map
+    X -> (X rho + rho X)/2, so this is its Moore-Penrose solution, the
+    minimum-norm Hermitian L.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    eye = np.eye(4, dtype=complex)
-    k = 0.5 * (np.kron(rho.T, eye) + np.kron(eye, rho))
-    lvec = pinv(k) @ drho.reshape(-1, order="F")
-    L = lvec.reshape(4, 4, order="F")
+    p, u = np.linalg.eigh(rho)
+    s = p[:, None] + p[None, :]
+    keep = s > RELATIVE_PINV_TOL * s.max()
+    d = u.conj().T @ drho @ u
+    d = np.divide(2.0 * d, s, out=np.zeros_like(d), where=keep)
+    L = u @ d @ u.conj().T
     L = 0.5 * (L + L.conj().T)
     resid = np.linalg.norm(0.5 * (L @ rho + rho @ L) - drho)
     if resid > 1e-8 * max(1.0, np.linalg.norm(drho)):

@@ -1,5 +1,5 @@
-"""Tomographic measurement sets, the B matrix, Poisson means, and linear
-tomography for two polarization qubits.
+"""Tomographic measurement sets, the B matrix, the Poisson count model, and
+linear tomography for two polarization qubits.
 
 A measurement set is 16 PSD operators M_nu. The local set uses rank-1
 product projectors |m1 m2><m1 m2| over the single-qubit states H, V,
@@ -9,6 +9,11 @@ set mixes ten Bell-like projectors with six half-weighted single-qubit
 operators (projector tensor I/2); those six are stored as the weighted
 rank-2 operators themselves so the same mean-count formula
 M_nu = Tr[M_nu T T^dag] covers every entry.
+
+With T = sum_i theta_i T_BASIS[i] the means are quadratic forms
+M_nu = theta^T Q_nu theta, Q_nu[i, j] = Re Tr[M_nu E_i E_j^dag]. A rank-k
+model's Q is the leading k x k block of the rank-4 stack, which each
+ProjectorSet computes once.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvariantViolation, InversionError
-from .states import (CholeskyModel, density_from_cholesky, pauli_basis,
-                     triangular)
+from .states import T_BASIS, pauli_basis
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -40,19 +44,18 @@ def product_ket(label):
     return np.kron(_SINGLE[label[0]], _SINGLE[label[1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """16 measurement operators with the cached tomographic B matrix.
+    """16 measurement operators with their tomographic B matrix and the
+    rank-4 quadratic forms q of the mean counts.
 
-    kets holds the unit vectors for rank-1 entries and None where the
-    operator is not a ket projector (the weighted rank-2 entries of the
-    inseparable set).
+    Sets compare and hash by identity.
     """
 
     name: str
     operators: np.ndarray
-    kets: tuple = None
-    b: np.ndarray = field(default=None, compare=False)
+    b: np.ndarray = field(init=False, repr=False)
+    q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
@@ -62,12 +65,12 @@ class ProjectorSet:
         if herm > 1e-12:
             raise InvariantViolation(
                 f"measurement operators must be Hermitian (defect {herm:.2e})")
-        if self.kets is not None:
-            for k in self.kets:
-                if k is not None and abs(np.linalg.norm(k) - 1.0) > 1e-12:
-                    raise InvariantViolation("projector kets must be unit norm")
+        # q[nu, i, j] = Re Tr[M_nu E_i E_j^dag], symmetrized
+        q = np.real(np.einsum("nab,ibc,jac->nij", ops, T_BASIS,
+                              T_BASIS.conj(), optimize=True))
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "b", b_matrix_of(ops))
+        object.__setattr__(self, "q", 0.5 * (q + q.transpose(0, 2, 1)))
 
     def __len__(self):
         return 16
@@ -82,15 +85,10 @@ def b_matrix_of(operators):
     return b.real
 
 
-def b_matrix(pset):
-    """The 16x16 tomographic matrix of a ProjectorSet."""
-    return pset.b.copy()
-
-
 def projector_set_from_kets(kets, name="custom"):
     kets = [np.asarray(k, dtype=complex) / np.linalg.norm(k) for k in kets]
     ops = np.array([np.outer(k, k.conj()) for k in kets])
-    return ProjectorSet(name=name, operators=ops, kets=tuple(kets))
+    return ProjectorSet(name=name, operators=ops)
 
 
 def local_projector_set():
@@ -135,9 +133,7 @@ def inseparable_projector_set():
         p = np.outer(_SINGLE[single], _SINGLE[single].conj())
         ops.append(np.kron(p, eye2 / 2.0))
         ops.append(np.kron(eye2 / 2.0, p))
-    kets = tuple(kets) + (None,) * 6
-    return ProjectorSet(name="inseparable", operators=np.array(ops),
-                        kets=kets)
+    return ProjectorSet(name="inseparable", operators=np.array(ops))
 
 
 def completeness_check(pset):
@@ -148,11 +144,20 @@ def completeness_check(pset):
     return complete, cond
 
 
+def means_and_derivatives(theta, pset):
+    """Means M_nu = theta^T Q_nu theta of the rank model with len(theta)
+    parameters, and their gradients dM[nu, i] = dM_nu/dtheta_i.
+
+    M can dip below zero by round-off; callers clamp it.
+    """
+    k = len(theta)
+    qt = pset.q[:, :k, :k] @ theta
+    return qt @ theta, 2.0 * qt
+
+
 def mean_counts(model, pset):
     """Poisson means M_nu = Tr[M_nu T T^dag] >= 0 (scale included in T)."""
-    t = triangular(model)
-    g = t @ t.conj().T
-    m = np.real(np.einsum("nij,ji->n", pset.operators, g))
+    m, _ = means_and_derivatives(model.params, pset)
     return np.clip(m, 0.0, None)
 
 

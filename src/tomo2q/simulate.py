@@ -27,9 +27,9 @@ from .states import (
     CholeskyModel,
     bures_distance_sq,
     check_density,
+    cholesky_from_density,
     fidelity,
 )
-from .estimation import _rank_factor
 
 _PRESET_EPS = {"mixed": 0.0, "product": 0.05, "bell": 0.05}
 
@@ -137,8 +137,7 @@ def true_model(rho_true, rank=None):
     their minimal-rank coordinates.
     """
     r = _state_rank(rho_true) if rank is None else int(rank)
-    theta = _rank_factor(rho_true, 1.0, r)
-    return CholeskyModel(rank=r, params=theta)
+    return cholesky_from_density(rho_true, 1.0, r)
 
 
 def _trial_seed(seed, li, ti):
@@ -243,8 +242,11 @@ def tile_estimates(estimates):
     return out
 
 
-def emit_results(result, path, fmt="csv"):
-    """Write a SweepResult as CSV/TSV with a fixed numeric format."""
+def emit_results(result, path=None, fmt="csv"):
+    """A SweepResult as CSV/TSV text with a fixed numeric format.
+
+    Returns the text, and also writes it to `path` when one is given.
+    """
     if fmt not in ("csv", "tsv"):
         raise InvariantViolation("format must be csv or tsv")
     sep = "," if fmt == "csv" else "\t"
@@ -256,9 +258,10 @@ def emit_results(result, path, fmt="csv"):
                result.std_bures_sq[i], result.cov_trace[i], result.bound[i])
         lines.append(sep.join("%.12g" % v for v in row))
     data = "\n".join(lines) + "\n"
-    with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
-    return path
+    if path is not None:
+        with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(data)
+    return data
 
 
 def read_counts(path):

@@ -31,33 +31,24 @@ SIGMA = np.array([
 _GAMMA = np.array([np.kron(SIGMA[i], SIGMA[j]) / 4.0
                    for i in range(4) for j in range(4)])
 
-# Parameter slot -> (row, col, imag?) of the lower-triangular T. Diagonal
-# entries are real, off-diagonals take a real/imaginary pair.
-T_LAYOUT = (
-    (0, 0, False),
-    (1, 0, False), (1, 0, True),
-    (2, 0, False), (2, 0, True),
-    (3, 0, False), (3, 0, True),
-    (1, 1, False),
-    (2, 1, False), (2, 1, True),
-    (3, 1, False), (3, 1, True),
-    (2, 2, False),
-    (3, 2, False), (3, 2, True),
-    (3, 3, False),
-)
-
 # Number of real parameters for each rank model: the first k columns of T.
 RANK_NPARAMS = {1: 7, 2: 12, 3: 15, 4: 16}
 
-# Columns of T touched by each parameter slot, used to truncate the layout.
-_PARAM_COL = np.array([col for _, col, _ in T_LAYOUT])
+
+def _cholesky_basis():
+    units = [(row, col, unit) for col in range(4) for row in range(col, 4)
+             for unit in ((1.0,) if row == col else (1.0, 1j))]
+    basis = np.zeros((16, 4, 4), dtype=complex)
+    for i, (row, col, unit) in enumerate(units):
+        basis[i, row, col] = unit
+    basis.setflags(write=False)
+    return basis
 
 
-def _layout_for_rank(rank):
-    return [i for i in range(16) if _PARAM_COL[i] < rank]
-
-
-_RANK_SLOTS = {k: np.array(_layout_for_rank(k)) for k in (1, 2, 3, 4)}
+# T_BASIS[i] = dT/dtheta_i. T is filled column by column: a real diagonal
+# entry, then a real/imaginary pair for each entry below it, so rank k
+# uses the first RANK_NPARAMS[k] slots.
+T_BASIS = _cholesky_basis()
 
 
 @dataclass(frozen=True)
@@ -97,22 +88,14 @@ class CholeskyModel:
 
 
 def triangular(model):
-    """Assemble the 4x4 lower-triangular T from a CholeskyModel."""
-    t = np.zeros((4, 4), dtype=complex)
-    slots = _RANK_SLOTS[model.rank]
-    for value, slot in zip(model.params, slots):
-        row, col, is_imag = T_LAYOUT[slot]
-        t[row, col] += 1j * value if is_imag else value
-    return t
+    """Assemble the 4x4 lower-triangular T = sum_i theta_i T_BASIS[i]."""
+    return np.tensordot(model.params, T_BASIS[:model.nparams], axes=1)
 
 
 def params_from_triangular(t, rank):
     """Read the parameter vector back off a lower-triangular matrix."""
-    out = []
-    for slot in _RANK_SLOTS[rank]:
-        row, col, is_imag = T_LAYOUT[slot]
-        out.append(t[row, col].imag if is_imag else t[row, col].real)
-    return np.array(out)
+    basis = T_BASIS[:RANK_NPARAMS[rank]]
+    return np.real(np.einsum("iab,ab->i", basis.conj(), t))
 
 
 def pauli_basis():
@@ -168,19 +151,31 @@ def density_from_cholesky(model):
     return 0.5 * (rho + rho.conj().T)
 
 
-def cholesky_from_density(rho, lam):
-    """Rank-4 Cholesky parameters reproducing rho at scale lambda.
+def cholesky_from_density(rho, lam, rank=4):
+    """Rank-`rank` Cholesky model whose T T^dag approximates lam * rho.
 
-    Near-singular inputs are regularized by 1e-10 * identity before
-    factorization, so the factorization never fails on valid states.
+    Keeps the top `rank` eigenvalues of rho (exact when rho has at most
+    that rank) and fixes the column phases so that the diagonal of T is
+    real and non-negative.
     """
     rho = check_density(rho)
     if lam <= 0:
         raise InvariantViolation("lambda must be positive")
-    reg = rho + 1e-10 * np.eye(4)
-    t = np.linalg.cholesky(reg)
-    t *= np.sqrt(lam / np.trace(reg).real)
-    return CholeskyModel(4, params_from_triangular(t, 4))
+    if rank not in RANK_NPARAMS:
+        raise InvariantViolation(f"rank must be 1..4, got {rank}")
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    order = np.argsort(w)[::-1][:rank]
+    a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho
+    # LQ: A = R* Q* with R* lower-trapezoidal; column phases fixed real
+    _, r = np.linalg.qr(a.conj().T)
+    t4 = np.zeros((4, 4), dtype=complex)
+    t4[:, :rank] = r.conj().T
+    for j in range(rank):
+        d = t4[j, j]
+        if abs(d) > 0:
+            t4[:, j] *= np.conj(d) / abs(d)
+    return CholeskyModel(rank, params_from_triangular(t4, rank))
 
 
 def fidelity(rho1, rho2):

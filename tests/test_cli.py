@@ -58,6 +58,15 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_simulate_without_out_writes_csv_to_stdout(capsys):
+    rc = main(["simulate", "--state", "mixed", "--times", "2",
+               "--trials", "3", "--seed", "5"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("lambda,mean_fidelity")
+    assert len(lines) == 2
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

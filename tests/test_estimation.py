@@ -138,6 +138,17 @@ def test_mle_seeded_determinism(local_set):
     assert a.log_likelihood == b.log_likelihood
 
 
+def test_mle_does_not_swallow_unexpected_errors(local_set, monkeypatch):
+    import tomo2q.estimation as est
+
+    def broken(counts, pset):
+        raise RuntimeError("not a tomography error")
+
+    monkeypatch.setattr(est, "linear_tomography", broken)
+    with pytest.raises(RuntimeError, match="not a tomography error"):
+        mle(4, VN_COUNTS, local_set)
+
+
 def test_mle_rejects_bad_init(local_set):
     n = np.ones(16)
     with pytest.raises(InvariantViolation):

@@ -12,10 +12,10 @@ from tomo2q.fisher import (
     density_gradient,
     fisher_analytic,
     fisher_mc,
-    score,
     sld,
     sld_fisher,
 )
+from tomo2q.estimation import log_likelihood_gradient
 from tomo2q.projectors import mean_counts
 from tomo2q.states import (
     CholeskyModel,
@@ -72,7 +72,7 @@ def test_score_zero_mean_at_truth(local_set):
     rng = np.random.default_rng(34)
     m = random_model(4, rng, lam=3000.0)
     means = mean_counts(m, local_set)
-    s = score(m, means, local_set)
+    s = log_likelihood_gradient(m, means, local_set)
     assert np.max(np.abs(s)) < 1e-8
 
 

@@ -5,7 +5,6 @@ from tomo2q.exceptions import InvariantViolation, InversionError
 from tomo2q.projectors import (
     LOCAL_LABELS,
     ProjectorSet,
-    b_matrix,
     check_counts,
     completeness_check,
     inseparable_projector_set,
@@ -94,7 +93,7 @@ def test_real_phase_family_breaks_completeness():
 
 def test_b_matrix_shape_and_first_column(local_set, insep_set):
     for pset in (local_set, insep_set):
-        b = b_matrix(pset)
+        b = pset.b
         assert b.shape == (16, 16)
         # column 0 is Tr[M_nu]/4: unit-trace operators give 0.25
         assert np.allclose(b[:, 0], 0.25, atol=1e-12)
@@ -157,6 +156,13 @@ def test_projector_set_validation():
         ProjectorSet(name="bad", operators=ops)
     with pytest.raises(InvariantViolation):
         ProjectorSet(name="bad", operators=np.zeros((15, 4, 4)))
+
+
+def test_projector_sets_compare_and_hash_by_identity(local_set):
+    other = local_projector_set()
+    assert local_set == local_set
+    assert local_set != other
+    assert len({local_set, other}) == 2
 
 
 def test_projector_set_from_kets_normalizes():

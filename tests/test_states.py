@@ -117,12 +117,18 @@ def test_cholesky_model_rejects_bad_input():
 
 def test_density_cholesky_round_trip():
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        rho = density_from_cholesky(random_model(4, rng))
-        lam = 10.0 ** rng.uniform(0, 6)
-        m = cholesky_from_density(rho, lam)
-        assert m.lambda_scale == pytest.approx(lam, rel=1e-9)
-        assert np.max(np.abs(density_from_cholesky(m) - rho)) < 1e-8
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            rho = density_from_cholesky(random_model(rank, rng))
+            lam = 10.0 ** rng.uniform(0, 6)
+            for fit_rank in {rank, 4}:
+                m = cholesky_from_density(rho, lam, fit_rank)
+                assert m.rank == fit_rank
+                assert m.lambda_scale == pytest.approx(lam, rel=1e-9)
+                assert np.max(np.abs(density_from_cholesky(m) - rho)) < 1e-8
+                assert np.all(np.diag(triangular(m)).real >= 0.0)
+    with pytest.raises(InvariantViolation):
+        cholesky_from_density(rho, 1.0, 5)
 
 
 def test_cholesky_from_density_rejects_nonpositive_scale():
