@@ -92,14 +92,16 @@ def _initial_theta(counts, pset, rank):
     return cholesky_from_density(rho, lam, rank).params
 
 
-def mle(rank, counts, pset, init=None, seed=0, extra_inits=(),
+def mle(rank, counts, pset, init=None, extra_inits=(),
         restarts=_N_RESTARTS):
     """Maximum-likelihood fit of one rank model.
 
-    Quasi-Newton (BFGS) on the analytic score, with a Nelder-Mead
-    polish when the line search stalls.  Starts from the PSD-clipped
-    linear inversion (or `init`) plus seeded jitters, so the result is
-    deterministic given (counts, init, seed).
+    Quasi-Newton (BFGS) on the analytic score from the PSD-clipped
+    linear inversion (or `init`), each of `extra_inits`, and `restarts`
+    jittered copies of the first start; the best end point wins.  The
+    jitter generator is fixed per rank, so the fit is a function of
+    (counts, init, extra_inits, restarts) alone.  `converged` reports
+    whether the score vanishes at the result.
     """
     n = check_counts(counts)
     lgamma = float(np.sum(gammaln(n + 1.0)))
@@ -117,7 +119,7 @@ def mle(rank, counts, pset, init=None, seed=0, extra_inits=(),
         x = np.asarray(x, dtype=float)
         if x.shape == (k,):
             starts.append(x)
-    rng = np.random.default_rng([max(seed, 0), rank])
+    rng = np.random.default_rng([0, rank])
     for _ in range(int(restarts)):
         jit = theta0 * (1.0 + 0.05 * rng.standard_normal(k)) \
             + 0.02 * scale * rng.standard_normal(k)
@@ -130,16 +132,6 @@ def mle(rank, counts, pset, init=None, seed=0, extra_inits=(),
                        jac=True, method="BFGS",
                        options={"gtol": 1e-7, "maxiter": 2000})
         total_iter += int(res.nit)
-        gexit = float(np.max(np.abs(res.jac)))
-        if not res.success and gexit > 1e-6 * max(1.0, abs(res.fun)):
-            # genuine stall away from a stationary point: simplex polish
-            res2 = minimize(
-                lambda t: _negloglik_and_grad(t, n, pset, lgamma)[0],
-                res.x, method="Nelder-Mead",
-                options={"maxiter": 4000, "xatol": 1e-9, "fatol": 1e-9})
-            total_iter += int(res2.nit)
-            if res2.fun <= res.fun:
-                res = res2
         if best is None or res.fun < best.fun:
             best = res
 
@@ -170,7 +162,7 @@ def _canonical_gauge(theta, rank):
     return params_from_triangular(t4, rank)
 
 
-def maice(counts, pset, seed=0, restarts=_N_RESTARTS):
+def maice(counts, pset, restarts=_N_RESTARTS):
     """Fit all four rank models; pick the minimum-AIC one.
 
     Each rank is additionally warm-started from the zero-padded best
@@ -186,8 +178,7 @@ def maice(counts, pset, seed=0, restarts=_N_RESTARTS):
             padded = np.zeros(RANK_NPARAMS[rank])
             padded[:len(prev_theta)] = prev_theta
             extra = (padded,)
-        r = mle(rank, n, pset, seed=seed, extra_inits=extra,
-                restarts=restarts)
+        r = mle(rank, n, pset, extra_inits=extra, restarts=restarts)
         results.append(r)
         prev_theta = r.theta_hat
     best = min(results, key=lambda r: (r.aic, RANK_NPARAMS[r.rank]))

@@ -149,7 +149,8 @@ def sld(rho, drho):
     1994).  Entries with p_i + p_j <= RELATIVE_PINV_TOL * max(p_i + p_j)
     are set to zero: (p_i + p_j)/2 are the singular values of the map
     X -> (X rho + rho X)/2, so this is its Moore-Penrose solution, the
-    minimum-norm Hermitian L.
+    minimum-norm Hermitian L.  `drho` may be one 4x4 direction or a
+    (k, 4, 4) stack of them, solved with one eigendecomposition of rho.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
@@ -159,25 +160,25 @@ def sld(rho, drho):
     d = u.conj().T @ drho @ u
     d = np.divide(2.0 * d, s, out=np.zeros_like(d), where=keep)
     L = u @ d @ u.conj().T
-    L = 0.5 * (L + L.conj().T)
-    resid = np.linalg.norm(0.5 * (L @ rho + rho @ L) - drho)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(drho)):
+    L = 0.5 * (L + np.swapaxes(L.conj(), -1, -2))
+    resid = np.linalg.norm(0.5 * (L @ rho + rho @ L) - drho, axis=(-2, -1))
+    bad = resid > 1e-8 * np.maximum(1.0, np.linalg.norm(drho, axis=(-2, -1)))
+    if np.any(bad):
         raise InconsistentDirectionError(
-            f"direction lies outside the SLD range (residual {resid:.3e})")
+            "direction lies outside the SLD range "
+            f"(residual {np.max(resid[bad]):.3e})")
     return L
 
 
 def sld_fisher(model):
-    """Quantum information matrix (1/2) Tr[rho (L_i L_j + L_j L_i)]."""
+    """Quantum information matrix (1/2) Tr[rho (L_i L_j + L_j L_i)].
+
+    For Hermitian rho and L that is Re Tr[rho L_i L_j].
+    """
     rho = density_from_cholesky(model)
-    grads = density_gradient(model)
-    Ls = [sld(rho, g) for g in grads]
-    k = len(Ls)
-    entries = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            v = 0.5 * np.trace(rho @ (Ls[i] @ Ls[j] + Ls[j] @ Ls[i]))
-            entries[i, j] = entries[j, i] = v.real
+    L = sld(rho, np.asarray(density_gradient(model)))
+    entries = np.einsum('iab,jba->ij', rho @ L, L).real
+    entries = 0.5 * (entries + entries.T)
     return SldFisherMatrix(entries=entries, rank_model=model.rank,
                            at_theta=model.params.copy())
 

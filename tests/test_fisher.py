@@ -93,10 +93,13 @@ def test_sld_reconstruction_residual(local_set):
         m = random_model(4, rng, lam=1.0)
         rho = density_from_cholesky(m)
         grads = density_gradient(m)
+        stacked = sld(rho, np.asarray(grads))
         for i in (0, 5, 11):
             l = sld(rho, grads[i])
             recon = 0.5 * (l @ rho + rho @ l)
             assert np.max(np.abs(recon - grads[i])) <= 1e-8
+            # a (k, 4, 4) stack solves each direction the same way
+            assert np.allclose(stacked[i], l, atol=1e-10)
 
 
 def test_sld_inconsistent_direction_raises():
@@ -107,6 +110,11 @@ def test_sld_inconsistent_direction_raises():
     bad[3, 3] = -1.0
     with pytest.raises(InconsistentDirectionError):
         sld(rho, bad)
+    # one bad direction in a stack fails the whole solve
+    good = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    sld(rho, good)
+    with pytest.raises(InconsistentDirectionError):
+        sld(rho, np.stack([good, bad]))
 
 
 def test_sld_fisher_identity_state():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tomo2q.estimation import maice
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -68,6 +69,18 @@ def test_simulation_config_validation():
         small_config(basis="bell")
     with pytest.raises(InvariantViolation):
         small_config(acquisition_times=(1.0, -2.0))
+    with pytest.raises(InvariantViolation):
+        small_config(seed=-1)
+    with pytest.raises(InvariantViolation):
+        small_config(seed=1.5)
+
+
+def test_seeds_beyond_31_bits_draw_their_own_counts():
+    # seed 2**31 once aliased seed 0
+    low = run_sweep(small_config(trials=2, seed=0))
+    high = run_sweep(small_config(trials=2, seed=2**31))
+    assert not all(np.array_equal(a.counts, b.counts)
+                   for a, b in zip(low.records[0], high.records[0]))
 
 
 def test_simulation_config_defaults():
@@ -149,13 +162,25 @@ def test_run_sweep_trial_order_independence():
     assert mf == pytest.approx(res.mean_fidelity[0], abs=1e-15)
 
 
+def test_sweep_trial_fit_is_the_standalone_fit():
+    # a sweep's estimate depends on the trial's counts alone
+    pset = local_projector_set()
+    res = run_sweep(small_config(true_state="bell",
+                                 acquisition_times=(0.2, 2.0)))
+    for recs in res.records:
+        for rec in recs:
+            alone, _ = maice(rec.counts, pset, restarts=1)
+            assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
+            assert rec.result.log_likelihood == alone.log_likelihood
+
+
 def test_run_sweep_failure_rate_guard(monkeypatch):
     import tomo2q.simulate as sim
 
     real_maice = sim.maice
 
-    def mostly_failing(counts, pset, seed=0, restarts=1):
-        best, table = real_maice(counts, pset, seed=seed, restarts=restarts)
+    def mostly_failing(counts, pset, restarts=1):
+        best, table = real_maice(counts, pset, restarts=restarts)
         bad = dataclasses.replace(best, converged=False)
         return bad, table
 
