@@ -41,9 +41,24 @@ def _print_matrix(label, m):
         print("  " + "  ".join("%+10.6f" % v for v in row))
 
 
+def _write(text, out):
+    """Write `text` to the file `out` with \\n line endings, or to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    print(f"wrote {out}")
+
+
 def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as e:
+            raise TomographyError(f"config {path} is not JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise TomographyError(f"config {path} must hold a JSON object")
     allowed = {f for f in SimulationConfig.__dataclass_fields__}
     bad = set(data) - allowed
     if bad:
@@ -53,23 +68,19 @@ def _load_config(path):
 
 
 def _config_from_args(args):
-    base = _load_config(args.config) if getattr(args, "config", None) else {}
-    over = {}
-    if getattr(args, "state", None) is not None:
-        over["true_state"] = args.state
-    for flag, key in (("rate", "rate"), ("trials", "trials"),
-                      ("estimator", "estimator"), ("basis", "basis"),
-                      ("seed", "seed"), ("eps", "epsilon")):
+    cfg = _load_config(args.config) if args.config else {}
+    for flag, key in (("state", "true_state"), ("rate", "rate"),
+                      ("trials", "trials"), ("estimator", "estimator"),
+                      ("basis", "basis"), ("seed", "seed"),
+                      ("eps", "epsilon")):
         v = getattr(args, flag, None)
         if v is not None:
-            over[key] = v
-    if getattr(args, "times", None) is not None:
-        over["acquisition_times"] = tuple(
-            float(t) for t in args.times.split(","))
-    base.update(over)
-    if "acquisition_times" in base:
-        base["acquisition_times"] = tuple(base["acquisition_times"])
-    return SimulationConfig(**base)
+            cfg[key] = v
+    if args.times is not None:
+        cfg["acquisition_times"] = [float(t) for t in args.times.split(",")]
+    if "acquisition_times" in cfg:
+        cfg["acquisition_times"] = tuple(cfg["acquisition_times"])
+    return SimulationConfig(**cfg)
 
 
 def _cmd_estimate(args):
@@ -95,11 +106,7 @@ def _cmd_estimate(args):
 def _cmd_simulate(args):
     cfg = _config_from_args(args)
     result = run_sweep(cfg)
-    if args.out:
-        emit_results(result, args.out, fmt=args.format)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(emit_results(result, fmt=args.format))
+    _write(emit_results(result, fmt=args.format), args.out)
     total = sum(result.excluded)
     if total:
         print(f"excluded {total} non-converged trials", file=sys.stderr)
@@ -143,9 +150,7 @@ def _cmd_compare(args):
                            ("inseparable", cmp_.inseparable)):
             header, *body = emit_results(res).splitlines()
             rows += [basis + "," + row for row in body]
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(["basis," + header] + rows) + "\n")
-        print(f"wrote {args.out}")
+        _write("\n".join(["basis," + header] + rows) + "\n", args.out)
     return 0
 
 
@@ -159,14 +164,8 @@ def _cmd_tile(args):
         best, _ = maice(counts, pset)
         mats.append(best.rho_hat)
     grid = tile_estimates(mats)
-    w = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
-    try:
-        for row in grid:
-            w.write(",".join("%.12g" % v for v in row) + "\n")
-    finally:
-        if args.out:
-            w.close()
-            print(f"wrote {args.out}")
+    _write("".join(",".join("%.12g" % v for v in row) + "\n"
+                   for row in grid), args.out)
     return 0
 
 
@@ -184,17 +183,21 @@ def build_parser():
     pe.add_argument("--model", choices=("mle16", "maice"), default="maice")
     pe.set_defaults(func=_cmd_estimate)
 
-    ps = sub.add_parser("simulate", help="Monte Carlo error-scaling sweep")
-    ps.add_argument("--state", choices=_PRESETS)
-    ps.add_argument("--rate", type=float)
-    ps.add_argument("--times", help="comma-separated acquisition times")
-    ps.add_argument("--trials", type=int)
-    ps.add_argument("--estimator", choices=("mle16", "maice"))
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--state", choices=_PRESETS)
+    sweep.add_argument("--rate", type=float)
+    sweep.add_argument("--times", help="comma-separated acquisition times")
+    sweep.add_argument("--trials", type=int)
+    sweep.add_argument("--estimator", choices=("mle16", "maice"))
+    sweep.add_argument("--seed", type=int)
+    sweep.add_argument("--eps", type=float)
+    sweep.add_argument("--config",
+                       help="JSON file with SimulationConfig fields")
+    sweep.add_argument("--out")
+
+    ps = sub.add_parser("simulate", parents=[sweep],
+                        help="Monte Carlo error-scaling sweep")
     ps.add_argument("--basis", choices=("local", "inseparable"))
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--eps", type=float)
-    ps.add_argument("--config", help="JSON file with SimulationConfig fields")
-    ps.add_argument("--out")
     ps.add_argument("--format", choices=("csv", "tsv"), default="csv")
     ps.set_defaults(func=_cmd_simulate)
 
@@ -208,17 +211,8 @@ def build_parser():
     pb.add_argument("--eps", type=float)
     pb.set_defaults(func=_cmd_bounds)
 
-    pc = sub.add_parser("compare-bases",
+    pc = sub.add_parser("compare-bases", parents=[sweep],
                         help="same sweep under both projector sets")
-    pc.add_argument("--state", choices=_PRESETS)
-    pc.add_argument("--rate", type=float)
-    pc.add_argument("--times", help="comma-separated acquisition times")
-    pc.add_argument("--trials", type=int)
-    pc.add_argument("--estimator", choices=("mle16", "maice"))
-    pc.add_argument("--seed", type=int)
-    pc.add_argument("--eps", type=float)
-    pc.add_argument("--config", help="JSON file with SimulationConfig fields")
-    pc.add_argument("--out")
     pc.set_defaults(func=_cmd_compare)
 
     pt = sub.add_parser("tile", help="12x12 tiling of nine estimates")
@@ -236,10 +230,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TomographyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (TomographyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -92,38 +92,35 @@ def _initial_theta(counts, pset, rank):
     return cholesky_from_density(rho, lam, rank).params
 
 
-def mle(rank, counts, pset, init=None, extra_inits=(),
-        restarts=_N_RESTARTS):
+def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
     """Maximum-likelihood fit of one rank model.
 
     Quasi-Newton (BFGS) on the analytic score from the PSD-clipped
-    linear inversion (or `init`), each of `extra_inits`, and `restarts`
-    jittered copies of the first start; the best end point wins.  The
-    jitter generator is fixed per rank, so the fit is a function of
-    (counts, init, extra_inits, restarts) alone.  `converged` reports
-    whether the score vanishes at the result.
+    linear inversion, then from `warm` (zero-padded to the rank's
+    parameter count), then from `restarts` jittered copies of the
+    linear inversion; the best end point wins.  The jitter generator is
+    fixed per rank, so the fit is a function of (counts, warm,
+    restarts) alone.  `converged` reports whether the score vanishes at
+    the result.
     """
     n = check_counts(counts)
     lgamma = float(np.sum(gammaln(n + 1.0)))
     k = RANK_NPARAMS[rank]
 
-    theta0 = np.asarray(init, dtype=float) if init is not None \
-        else _initial_theta(n, pset, rank)
-    if theta0.shape != (k,):
-        raise InvariantViolation(
-            f"init must have {k} entries for rank {rank}")
+    theta0 = _initial_theta(n, pset, rank)
     scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
 
     starts = [theta0]
-    for x in extra_inits:
-        x = np.asarray(x, dtype=float)
-        if x.shape == (k,):
-            starts.append(x)
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        if warm.ndim != 1 or len(warm) > k:
+            raise InvariantViolation(
+                f"warm start must have at most {k} entries for rank {rank}")
+        starts.append(np.pad(warm, (0, k - len(warm))))
     rng = np.random.default_rng([0, rank])
     for _ in range(int(restarts)):
-        jit = theta0 * (1.0 + 0.05 * rng.standard_normal(k)) \
-            + 0.02 * scale * rng.standard_normal(k)
-        starts.append(jit)
+        starts.append(theta0 * (1.0 + 0.05 * rng.standard_normal(k))
+                      + 0.02 * scale * rng.standard_normal(k))
 
     best = None
     total_iter = 0
@@ -165,22 +162,17 @@ def _canonical_gauge(theta, rank):
 def maice(counts, pset, restarts=_N_RESTARTS):
     """Fit all four rank models; pick the minimum-AIC one.
 
-    Each rank is additionally warm-started from the zero-padded best
-    parameters of the rank below, which enforces the nested-model
-    likelihood ordering.  AIC ties resolve toward fewer parameters.
+    Each rank is additionally warm-started from the best parameters of
+    the rank below, which enforces the nested-model likelihood
+    ordering.  AIC ties resolve toward fewer parameters.
     """
     n = check_counts(counts)
     results = []
-    prev_theta = None
+    warm = None
     for rank in (1, 2, 3, 4):
-        extra = ()
-        if prev_theta is not None:
-            padded = np.zeros(RANK_NPARAMS[rank])
-            padded[:len(prev_theta)] = prev_theta
-            extra = (padded,)
-        r = mle(rank, n, pset, extra_inits=extra, restarts=restarts)
+        r = mle(rank, n, pset, warm=warm, restarts=restarts)
         results.append(r)
-        prev_theta = r.theta_hat
+        warm = r.theta_hat
     best = min(results, key=lambda r: (r.aic, RANK_NPARAMS[r.rank]))
     return best, tuple(results)
 

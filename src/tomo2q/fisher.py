@@ -10,23 +10,28 @@ The asymptotic bound on infidelity is 1 - F >= C/lambda with
 C = (1/8) Tr[J_SLD pinv(Jbar)], Jbar the Fisher matrix per unit of
 acquisition scale.  C is invariant under linear reparametrization and
 under rescaling theta to a different lambda at fixed state shape.
+pinv(Jbar) and the SLD solve each have their own cutoff (see sld).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import pinv
 
 from .exceptions import (
     InconsistentDirectionError,
     InvariantViolation,
     UnboundedInformationError,
 )
-from .linalg import RELATIVE_PINV_TOL, pinv
 from .projectors import means_and_derivatives
 from .states import T_BASIS, density_from_cholesky, triangular
 
 _SYM_TOL = 1e-10
 _PSD_FLOOR = 1e-8
+# Singular values of Jbar below _PINV_RCOND * s_max count as zero.
+_PINV_RCOND = 1e-10
+# SLD pairs with p_i + p_j <= _SLD_CUTOFF * max(p_i + p_j) count as zero.
+_SLD_CUTOFF = 1e-14
 
 
 def _check_info_matrix(entries, what):
@@ -146,17 +151,21 @@ def sld(rho, drho):
 
     In the eigenbasis rho = sum_i p_i |i><i| the solution is
     L_ij = 2 drho_ij / (p_i + p_j) (Braunstein & Caves, PRL 72, 3439,
-    1994).  Entries with p_i + p_j <= RELATIVE_PINV_TOL * max(p_i + p_j)
-    are set to zero: (p_i + p_j)/2 are the singular values of the map
+    1994).  Entries with p_i + p_j <= _SLD_CUTOFF * max(p_i + p_j) are
+    set to zero: (p_i + p_j)/2 are the singular values of the map
     X -> (X rho + rho X)/2, so this is its Moore-Penrose solution, the
     minimum-norm Hermitian L.  `drho` may be one 4x4 direction or a
     (k, 4, 4) stack of them, solved with one eigendecomposition of rho.
+
+    The cutoff sits at round-off, far below pinv's 1e-10 for Jbar: a
+    full-rank rho can have a true eigenvalue at 1e-11 of the largest, and
+    zeroing it would drop a direction rho supports.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     p, u = np.linalg.eigh(rho)
     s = p[:, None] + p[None, :]
-    keep = s > RELATIVE_PINV_TOL * s.max()
+    keep = s > _SLD_CUTOFF * s.max()
     d = u.conj().T @ drho @ u
     d = np.divide(2.0 * d, s, out=np.zeros_like(d), where=keep)
     L = u @ d @ u.conj().T
@@ -187,11 +196,12 @@ def bound_coefficient(model, pset):
     """Asymptotic infidelity bound 1 - F >= C/lambda.
 
     C = (1/8) Tr[J_SLD pinv(Jbar)] with Jbar the Fisher matrix divided
-    by the acquisition scale; pinv handles rank-deficient directions.
+    by the acquisition scale; pinv drops directions of Jbar below
+    _PINV_RCOND of its largest singular value.
     """
     jbar = fisher_analytic(model, pset).entries / model.lambda_scale
     jsld = sld_fisher(model).entries
-    c = 0.125 * float(np.trace(jsld @ pinv(jbar)))
+    c = 0.125 * float(np.trace(jsld @ pinv(jbar, rcond=_PINV_RCOND)))
     if c <= 0:
         raise UnboundedInformationError(
             "bound coefficient must be positive")

@@ -46,8 +46,9 @@ def product_ket(label):
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """16 measurement operators with their tomographic B matrix and the
-    rank-4 quadratic forms q of the mean counts.
+    """16 measurement operators with their tomographic B matrix, whether
+    B is invertible (`complete`), and the rank-4 quadratic forms q of the
+    mean counts.
 
     Sets compare and hash by identity.
     """
@@ -55,6 +56,7 @@ class ProjectorSet:
     name: str
     operators: np.ndarray
     b: np.ndarray = field(init=False, repr=False)
+    complete: bool = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,6 +72,7 @@ class ProjectorSet:
                               T_BASIS.conj(), optimize=True))
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "b", b_matrix_of(ops))
+        object.__setattr__(self, "complete", completeness_check(self)[0])
         object.__setattr__(self, "q", 0.5 * (q + q.transpose(0, 2, 1)))
 
     def __len__(self):
@@ -185,8 +188,7 @@ def linear_tomography(counts, pset):
     density matrix is Hermitian with unit trace but not necessarily PSD.
     """
     counts = check_counts(counts)
-    complete, _ = completeness_check(pset)
-    if not complete:
+    if not pset.complete:
         raise InvariantViolation(
             f"projector set '{pset.name}' is not tomographically complete")
     lam_phi = np.linalg.solve(pset.b, counts)

@@ -71,8 +71,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.rate <= 0:
             raise InvariantViolation("rate must be positive")
-        if int(self.trials) < 1:
-            raise InvariantViolation("trials must be at least 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise InvariantViolation("trials must be a positive integer")
         if self.estimator not in ("mle16", "maice"):
             raise InvariantViolation("estimator must be mle16 or maice")
         if self.basis not in ("local", "inseparable"):
@@ -159,7 +159,7 @@ def run_sweep(config):
     for li, lam in enumerate(lam_values):
         recs = []
         thetas = []
-        for ti in range(int(config.trials)):
+        for ti in range(config.trials):
             rng = np.random.default_rng([config.seed, li, ti])
             counts = sample_counts(rho_true, pset, lam, rng)
             if config.estimator == "mle16":

@@ -11,6 +11,9 @@ qubit slowest). Three interchangeable parametrizations are provided:
   rho = T T^dag / Tr[T T^dag]. The trace Tr[T T^dag] doubles as the total
   count scale lambda, so the parametrization carries the state and the
   Poisson nuisance parameter together.
+
+The metrics run check_density, which tolerates eigenvalues down to
+-PSD_CLIP_FLOOR as round-off, and clip those to zero where they use them.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateModelError, InvariantViolation
-from .linalg import PSD_CLIP_FLOOR, psd_sqrt
 
 SIGMA = np.array([
     [[1, 0], [0, 1]],
@@ -30,6 +32,10 @@ SIGMA = np.array([
 # Gamma_{4i+j} = (sigma_i (x) sigma_j) / 4; Tr[Gamma_mu Gamma_nu] = delta/4.
 _GAMMA = np.array([np.kron(SIGMA[i], SIGMA[j]) / 4.0
                    for i in range(4) for j in range(4)])
+
+# Eigenvalues in [-PSD_CLIP_FLOOR, 0) are round-off, clipped at the point
+# of use; anything more negative fails check_density.
+PSD_CLIP_FLOOR = 1e-10
 
 # Number of real parameters for each rank model: the first k columns of T.
 RANK_NPARAMS = {1: 7, 2: 12, 3: 15, 4: 16}
@@ -176,6 +182,13 @@ def cholesky_from_density(rho, lam, rank=4):
         if abs(d) > 0:
             t4[:, j] *= np.conj(d) / abs(d)
     return CholeskyModel(rank, params_from_triangular(t4, rank))
+
+
+def psd_sqrt(m):
+    """Hermitian square root of a matrix that passed check_density, its
+    round-off negative eigenvalues clipped to zero."""
+    w, u = np.linalg.eigh(m)
+    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
 def fidelity(rho1, rho2):

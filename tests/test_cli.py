@@ -90,6 +90,18 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]",
+                                  '{"trials": "two"}'],
+                         ids=["invalid-json", "top-level-list",
+                              "string-trials"])
+def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["simulate", "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bounds_preset(capsys):
     rc = main(["bounds", "--state", "mixed"])
     out = capsys.readouterr().out

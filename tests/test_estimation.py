@@ -152,7 +152,7 @@ def test_mle_does_not_swallow_unexpected_errors(local_set, monkeypatch):
 def test_mle_rejects_bad_init(local_set):
     n = np.ones(16)
     with pytest.raises(InvariantViolation):
-        mle(2, n, local_set, init=np.ones(7))
+        mle(2, n, local_set, warm=np.ones(13))
 
 
 def test_maice_selects_true_rank_and_orders_loglik(local_set):

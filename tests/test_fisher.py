@@ -21,6 +21,7 @@ from tomo2q.states import (
     CholeskyModel,
     RANK_NPARAMS,
     bures_distance_sq,
+    cholesky_from_density,
     density_from_cholesky,
 )
 
@@ -182,6 +183,26 @@ def test_bound_coefficient_identity_state_golden(local_set, insep_set):
     assert ci.coefficient == pytest.approx(6.375, abs=1e-9)
     assert cl.set_name == "local"
     assert ci.set_name == "inseparable"
+
+
+def test_bound_coefficient_near_singular_full_rank(local_set, insep_set):
+    # full-rank states whose smallest eigenvalue is ~3e-11 of the largest:
+    # the SLD must keep that direction instead of reporting it outside
+    # its range
+    def pool_model(s, row):
+        theta = np.random.default_rng([0, 4, s]).standard_normal(
+            (250, 16))[row]
+        return CholeskyModel(4, theta / np.linalg.norm(theta))
+
+    m = pool_model(0, 81)
+    cl = bound_coefficient(m, local_set).coefficient
+    ci = bound_coefficient(pool_model(1, 168), insep_set).coefficient
+    assert np.all(np.isfinite([cl, ci])) and cl > 0 and ci > 0
+    # the local C is the limit of the same state mixed with a little I/4
+    mixed = (1.0 - 1e-8) * density_from_cholesky(m) + 1e-8 * np.eye(4) / 4
+    c_mixed = bound_coefficient(cholesky_from_density(mixed, 1.0, 4),
+                                local_set).coefficient
+    assert cl == pytest.approx(c_mixed, rel=1e-4)
 
 
 def test_bound_rank2_vs_rank4_coordinates(local_set):

@@ -87,6 +87,7 @@ def test_real_phase_family_breaks_completeness():
     bad = ProjectorSet(name="real-phase", operators=np.array(ops))
     ok, cond = completeness_check(bad)
     assert not ok
+    assert not bad.complete
     with pytest.raises(InvariantViolation):
         linear_tomography(np.ones(16), bad)
 
