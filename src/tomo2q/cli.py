@@ -78,8 +78,6 @@ def _config_from_args(args):
             cfg[key] = v
     if args.times is not None:
         cfg["acquisition_times"] = [float(t) for t in args.times.split(",")]
-    if "acquisition_times" in cfg:
-        cfg["acquisition_times"] = tuple(cfg["acquisition_times"])
     return SimulationConfig(**cfg)
 
 

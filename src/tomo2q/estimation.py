@@ -7,11 +7,20 @@ analyses.  Means are clamped at 1e-12 before the logarithm: a
 rank-deficient model that assigns zero mean to a nonzero count then
 scores astronomically badly instead of crashing, and AIC disposes of
 it naturally.
+
+Every rank fit runs the same multistart (see `mle`).  Ranks 2-4 use
+damped Newton on the analytic Hessian (Levenberg-Marquardt damping,
+More 1978): it takes a fraction of scipy BFGS's time, and from the same
+starts it almost always ends at the optimum BFGS ends at.  Rank 1 stays
+on scipy BFGS: its landscape has many optima, Newton ends at a
+different one from about a quarter of the starts, and that moves the
+published rank-1 AIC.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
@@ -30,6 +39,13 @@ from .states import (
 
 MEAN_CLAMP = 1e-12
 _N_RESTARTS = 4
+# damped Newton (ranks 2-4): initial, smallest and largest damping, the
+# gradient tolerance relative to max(1, |logL|), and the iteration cap
+_NEWTON_MU0 = 1e-3
+_NEWTON_MU_MIN = 1e-12
+_NEWTON_MU_MAX = 1e12
+_NEWTON_GTOL = 1e-9
+_NEWTON_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -43,7 +59,7 @@ class EstimationResult:
     rho_hat: np.ndarray
     lambda_hat: float
     converged: bool
-    iterations: int
+    iterations: int     # summed over starts: BFGS at rank 1, else Newton
 
 
 def aic(log_likelihood, rank):
@@ -67,12 +83,56 @@ def log_likelihood_gradient(model, counts, pset):
     return (n / np.maximum(m, MEAN_CLAMP) - 1.0) @ dm
 
 
-def _negloglik_and_grad(theta, n, pset, lgamma):
+def _negloglik(theta, n, pset, lgamma):
+    """Negative log-likelihood, the clamped means and their gradients."""
     m, dm = means_and_derivatives(theta, pset)
     m = np.maximum(m, MEAN_CLAMP)
-    f = -np.sum(-m + n * np.log(m)) + lgamma
-    g = -((n / m - 1.0) @ dm)
-    return f, g
+    return -np.sum(-m + n * np.log(m)) + lgamma, m, dm
+
+
+def _negloglik_and_grad(theta, n, pset, lgamma):
+    f, m, dm = _negloglik(theta, n, pset, lgamma)
+    return f, -((n / m - 1.0) @ dm)
+
+
+def _newton(theta, n, pset, lgamma):
+    """Levenberg-Marquardt-damped Newton on the analytic Hessian
+    H = sum_nu [2(1 - n/M) Q_nu + (n/M^2) dM dM^T].
+
+    The damping shift is mu * max(1, max|diag H|); a step is kept if the
+    objective does not rise, and mu shrinks by 3 on a kept step and
+    grows by 4 on a rejected one (or when H + shift is not positive
+    definite).  Returns (theta, f, iterations), f the negative
+    log-likelihood and iterations the number of kept steps.
+    """
+    k = len(theta)
+    q = np.ascontiguousarray(pset.q[:, :k, :k]).reshape(16, k * k)
+    eye = np.eye(k)
+    f, m, dm = _negloglik(theta, n, pset, lgamma)
+    mu = _NEWTON_MU0
+    iterations = 0
+    while iterations < _NEWTON_MAXITER:
+        w = 1.0 - n / m
+        g = w @ dm
+        if np.abs(g).max() <= _NEWTON_GTOL * max(1.0, abs(f)):
+            break
+        h = 2.0 * (w @ q).reshape(k, k) + (dm.T * (n / m**2)) @ dm
+        shift = max(1.0, np.abs(h.diagonal()).max())
+        while True:
+            chol, info = dpotrf(h + mu * shift * eye, lower=1, clean=0)
+            if info == 0:
+                trial = theta - dpotrs(chol, g, lower=1)[0]
+                f_trial, m_trial, dm_trial = _negloglik(trial, n, pset,
+                                                        lgamma)
+                if f_trial <= f:
+                    break
+            mu *= 4.0
+            if mu > _NEWTON_MU_MAX:
+                return theta, f, iterations
+        theta, f, m, dm = trial, f_trial, m_trial, dm_trial
+        mu = max(mu / 3.0, _NEWTON_MU_MIN)
+        iterations += 1
+    return theta, f, iterations
 
 
 def _initial_theta(counts, pset, rank):
@@ -92,21 +152,11 @@ def _initial_theta(counts, pset, rank):
     return cholesky_from_density(rho, lam, rank).params
 
 
-def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
-    """Maximum-likelihood fit of one rank model.
-
-    Quasi-Newton (BFGS) on the analytic score from the PSD-clipped
-    linear inversion, then from `warm` (zero-padded to the rank's
-    parameter count), then from `restarts` jittered copies of the
-    linear inversion; the best end point wins.  The jitter generator is
-    fixed per rank, so the fit is a function of (counts, warm,
-    restarts) alone.  `converged` reports whether the score vanishes at
-    the result.
-    """
-    n = check_counts(counts)
-    lgamma = float(np.sum(gammaln(n + 1.0)))
+def _starts(n, pset, rank, warm, restarts):
+    """The PSD-clipped linear inversion, `warm` zero-padded to the rank's
+    parameter count, then `restarts` jittered copies of the inversion.
+    The jitter generator is fixed per rank."""
     k = RANK_NPARAMS[rank]
-
     theta0 = _initial_theta(n, pset, rank)
     scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
 
@@ -121,18 +171,40 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
     for _ in range(int(restarts)):
         starts.append(theta0 * (1.0 + 0.05 * rng.standard_normal(k))
                       + 0.02 * scale * rng.standard_normal(k))
+    return starts
 
-    best = None
+
+def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
+    """Maximum-likelihood fit of one rank model.
+
+    Fits from the PSD-clipped linear inversion, then from `warm`
+    (zero-padded to the rank's parameter count), then from `restarts`
+    jittered copies of the linear inversion; the best end point wins.
+    Rank 1 runs scipy BFGS on the analytic score, ranks 2-4 damped
+    Newton on the analytic Hessian (see the module docstring for why
+    the ranks differ).  The jitter generator is fixed per rank, so the
+    fit is a function of (counts, warm, restarts) alone.  `converged`
+    reports whether the score vanishes at the result; `iterations` sums
+    the solver's iterations over the starts.
+    """
+    n = check_counts(counts)
+    lgamma = float(np.sum(gammaln(n + 1.0)))
+
+    best_theta, best_f = None, None
     total_iter = 0
-    for x0 in starts:
-        res = minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
-                       jac=True, method="BFGS",
-                       options={"gtol": 1e-7, "maxiter": 2000})
-        total_iter += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
+    for x0 in _starts(n, pset, rank, warm, restarts):
+        if rank == 1:
+            res = minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
+                           jac=True, method="BFGS",
+                           options={"gtol": 1e-7, "maxiter": 2000})
+            x, f, nit = res.x, res.fun, res.nit
+        else:
+            x, f, nit = _newton(x0, n, pset, lgamma)
+        total_iter += int(nit)
+        if best_theta is None or f < best_f:
+            best_theta, best_f = x, f
 
-    theta = np.asarray(best.x, dtype=float)
+    theta = np.asarray(best_theta, dtype=float)
     # gauge: make diagonal entries of T nonnegative by column sign flips
     theta = _canonical_gauge(theta, rank)
     model = CholeskyModel(rank=rank, params=theta)

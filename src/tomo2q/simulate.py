@@ -35,7 +35,7 @@ from .states import (
 )
 
 _PRESET_EPS = {"mixed": 0.0, "product": 0.05, "bell": 0.05}
-_SWEEP_RESTARTS = 1     # jittered BFGS starts per rank fit in a sweep
+_SWEEP_RESTARTS = 1     # jittered extra starts per rank fit in a sweep
 
 
 def preset_state(name, epsilon=None):
@@ -69,18 +69,25 @@ class SimulationConfig:
     epsilon: float = None
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise InvariantViolation("rate must be positive")
+        if not isinstance(self.rate, numbers.Real) or not self.rate > 0:
+            raise InvariantViolation("rate must be a positive number")
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise InvariantViolation("trials must be a positive integer")
         if self.estimator not in ("mle16", "maice"):
             raise InvariantViolation("estimator must be mle16 or maice")
         if self.basis not in ("local", "inseparable"):
             raise InvariantViolation("basis must be local or inseparable")
-        if any(t <= 0 for t in self.acquisition_times):
-            raise InvariantViolation("acquisition times must be positive")
+        times = self.acquisition_times
+        if not isinstance(times, (tuple, list)) or not all(
+                isinstance(t, numbers.Real) and t > 0 for t in times):
+            raise InvariantViolation(
+                "acquisition times must be a list of positive numbers")
+        object.__setattr__(self, "acquisition_times", tuple(times))
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvariantViolation("seed must be a non-negative integer")
+        if not (self.epsilon is None
+                or isinstance(self.epsilon, numbers.Real)):
+            raise InvariantViolation("epsilon must be a number")
 
     def resolve_state(self):
         if isinstance(self.true_state, CholeskyModel):

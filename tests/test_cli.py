@@ -91,9 +91,12 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
-                                  '{"trials": "two"}'],
+                                  '{"trials": "two"}', '{"rate": "fast"}',
+                                  '{"acquisition_times": 5}',
+                                  '{"true_state": "bell", "epsilon": "x"}'],
                          ids=["invalid-json", "top-level-list",
-                              "string-trials"])
+                              "string-trials", "string-rate",
+                              "scalar-times", "string-epsilon"])
 def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from tomo2q.estimation import (
+    _negloglik_and_grad,
+    _newton,
+    _starts,
     EstimationResult,
     aic,
     kl_divergence,
@@ -12,12 +16,14 @@ from tomo2q.estimation import (
     mle,
 )
 from tomo2q.exceptions import InvariantViolation
-from tomo2q.projectors import mean_counts
+from tomo2q.projectors import linear_tomography, mean_counts
+from tomo2q.simulate import preset_state, sample_counts
 from tomo2q.states import (
     CholeskyModel,
     RANK_NPARAMS,
     check_density,
     density_from_cholesky,
+    density_from_pauli,
     fidelity,
 )
 
@@ -153,6 +159,53 @@ def test_mle_rejects_bad_init(local_set):
     n = np.ones(16)
     with pytest.raises(InvariantViolation):
         mle(2, n, local_set, warm=np.ones(13))
+
+
+def _bfgs_reference(rank, n, pset):
+    """Best scipy-BFGS log-likelihood from the starts `mle` uses."""
+    n = np.asarray(n, dtype=float)
+    lgamma = float(np.sum(gammaln(n + 1.0)))
+    return -min(minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
+                         jac=True, method="BFGS",
+                         options={"gtol": 1e-7, "maxiter": 2000}).fun
+                for x0 in _starts(n, pset, rank, None, 4))
+
+
+@pytest.mark.parametrize("state, log_lam", [("mixed", 4), ("product", 2),
+                                            ("product", 3), ("bell", 2),
+                                            ("bell", 3)])
+def test_mle_ranks_2_to_4_reach_the_bfgs_optimum(local_set, insep_set,
+                                                 state, log_lam):
+    # interior (mixed, large lambda) and boundary (near-pure) counts: the
+    # first draw of each condition of the 120-vector comparison corpus
+    preset = ("mixed", "product", "bell").index(state)
+    for si, pset in enumerate((local_set, insep_set)):
+        n = sample_counts(preset_state(state), pset, 10.0**log_lam,
+                          np.random.default_rng([preset, si, log_lam, 0]))
+        for rank in (2, 3, 4):
+            res = mle(rank, n, pset)
+            assert res.converged
+            assert res.log_likelihood >= _bfgs_reference(rank, n, pset) - 1e-6
+
+
+def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
+    # a positive definite linear inversion is a rank-4 model with M = n,
+    # the saturated MLE; Newton reaches it from the jittered starts too
+    n = sample_counts(preset_state("mixed"), local_set, 1e4,
+                      np.random.default_rng(31))
+    phi, _ = linear_tomography(n, local_set)
+    assert np.linalg.eigvalsh(density_from_pauli(phi))[0] > 0.0
+
+    def misfit(theta):
+        m = mean_counts(CholeskyModel(4, theta), local_set)
+        return np.max(np.abs(m - n) / n)
+
+    assert misfit(mle(4, n, local_set).theta_hat) < 1e-9
+    # Newton stops at |g| <= 1e-9 |logL|, which leaves M - n at ~1e-9 n
+    lgamma = float(np.sum(gammaln(n + 1.0)))
+    for x0 in _starts(n, local_set, 4, None, 4)[1:]:
+        theta = _newton(x0, n.astype(float), local_set, lgamma)[0]
+        assert misfit(theta) < 1e-8
 
 
 def test_maice_selects_true_rank_and_orders_loglik(local_set):

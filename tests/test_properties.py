@@ -4,13 +4,17 @@ same inputs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tomo2q.estimation import maice
+from tomo2q.exceptions import CountsParseError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
+from tomo2q.simulate import read_counts
 from tomo2q.states import (
     CholeskyModel,
+    RANK_NPARAMS,
+    check_density,
     density_from_cholesky,
     fidelity,
     params_from_triangular,
@@ -76,3 +80,71 @@ def test_fidelity_is_symmetric_and_in_unit_interval(seed, rank1, rank2):
     # square roots of round-off eigenvalues of a rank-deficient product
     # leave up to ~2e-8 of asymmetry
     assert fidelity(rho2, rho1) == pytest.approx(f12, abs=1e-7)
+
+
+@examples(40)
+@given(rank=ranks, data=st.data())
+def test_density_from_cholesky_is_a_state_of_at_most_its_rank(rank, data):
+    theta = np.array(data.draw(st.lists(
+        st.floats(-1e3, 1e3), min_size=RANK_NPARAMS[rank],
+        max_size=RANK_NPARAMS[rank])))
+    assume(np.max(np.abs(theta)) > 1e-100)
+    rho = check_density(density_from_cholesky(CholeskyModel(rank, theta)))
+    w = np.linalg.eigvalsh(rho)
+    assert np.all(np.abs(w[:4 - rank]) <= 1e-12 * w[-1])
+
+
+fillers = st.lists(st.tuples(st.integers(0, 16), st.sampled_from(
+    ["", "   ", "# comment", "  # 7 8 9", "\t"])), max_size=6)
+
+
+def _counts_lines(tokens, breaks, fillers):
+    """Text lines holding `tokens`, a new line starting wherever `breaks`
+    is set, with the filler lines inserted; also the 1-based line number
+    of each token."""
+    rows = [[0]]
+    for i, b in enumerate(breaks, start=1):
+        if b:
+            rows.append([])
+        rows[-1].append(i)
+    for pos, text in sorted(fillers, reverse=True):
+        rows.insert(min(pos, len(rows)), text)
+    lines, where = [], {}
+    for ln, row in enumerate(rows, start=1):
+        if isinstance(row, str):
+            lines.append(row)
+        else:
+            lines.append(" ".join(tokens[i] for i in row))
+            where.update((i, ln) for i in row)
+    return lines, where
+
+
+@pytest.fixture(scope="module")
+def counts_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("counts") / "counts.txt"
+
+
+@examples(40)
+@given(counts=st.lists(st.integers(0, 10**9), min_size=16, max_size=16),
+       breaks=st.lists(st.booleans(), min_size=15, max_size=15),
+       fillers=fillers)
+def test_read_counts_round_trips(counts_path, counts, breaks, fillers):
+    lines, _ = _counts_lines([str(c) for c in counts], breaks, fillers)
+    counts_path.write_text("\n".join(lines) + "\n")
+    assert read_counts(counts_path).tolist() == counts
+
+
+@examples(40)
+@given(bad=st.integers(0, 15),
+       token=st.sampled_from(["1.5", "x", "-3", "3e2", "0x10"]),
+       breaks=st.lists(st.booleans(), min_size=15, max_size=15),
+       fillers=fillers)
+def test_read_counts_reports_the_line_of_a_bad_token(
+        counts_path, bad, token, breaks, fillers):
+    tokens = [str(i) for i in range(16)]
+    tokens[bad] = token
+    lines, where = _counts_lines(tokens, breaks, fillers)
+    counts_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CountsParseError) as err:
+        read_counts(counts_path)
+    assert err.value.line_number == where[bad]
