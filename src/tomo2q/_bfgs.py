@@ -1,0 +1,494 @@
+"""BFGS with a strong-Wolfe line search, for the rank-1 fit.
+
+A port of scipy 1.17's `_minimize_bfgs` with `jac=True` and its line
+searches: `line_search_wolfe1`, which runs MINPACK-2's DCSRCH/DCSTEP
+(More and Thuente, ACM TOMS 20, 286, 1994), and the
+`line_search_wolfe2` fallback (Nocedal and Wright, Numerical
+Optimization, 1999, algorithms 3.5 and 3.6).  Every floating-point
+operation runs in scipy's order, so from the same start the port ends
+at the same point, bit for bit, after the same number of iterations
+and objective evaluations.  Options the rank-1 fit does not use
+(callbacks, finite differences, `xrtol`, a custom initial inverse
+Hessian, `c1`/`c2`) are left out.
+
+Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+All rights reserved.
+
+Redistribution and use in source and binary forms, with or without
+modification, are permitted provided that the following conditions
+are met:
+
+1. Redistributions of source code must retain the above copyright
+   notice, this list of conditions and the following disclaimer.
+
+2. Redistributions in binary form must reproduce the above
+   copyright notice, this list of conditions and the following
+   disclaimer in the documentation and/or other materials provided
+   with the distribution.
+
+3. Neither the name of the copyright holder nor the names of its
+   contributors may be used to endorse or promote products derived
+   from this software without specific prior written permission.
+
+THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+"AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+(INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+# Armijo and curvature constants of the strong Wolfe conditions
+_C1 = 1e-4
+_C2 = 0.9
+# the bounds line_search_wolfe1 gets from scipy's BFGS on the step, and
+# the fallback search's largest step
+_STEP_MIN = 1e-100
+_STEP_MAX = 1e100
+
+
+class BfgsResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int        # iterations, one line search each
+    nfev: int       # objective evaluations at distinct points
+    status: int     # 0 converged, 1 maxiter, 2 line search failed, 3 NaN
+
+
+def minimize(fun, x0, args, gtol, maxiter):
+    """Minimize `fun(x, *args) -> (f, gradient)` from x0 by BFGS.
+
+    Stops when max|gradient| <= gtol or after `maxiter` iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    last = [None, None, None]       # x, f, gradient of the last evaluation
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if last[0] is None or not (x == last[0]).all():
+            f, g = fun(x, *args)
+            last[:] = x, f, g
+            nfev += 1
+        return last[1], last[2]
+
+    old_fval, gfk = evaluate(x0)
+    k = 0
+    N = len(x0)
+    I = np.eye(N, dtype=int)
+    Hk = I
+    # sets the initial step guess to dx ~ 1
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+    xk = x0
+    warnflag = 0
+    gnorm = np.amax(np.abs(gfk))
+    while (gnorm > gtol) and (k < maxiter):
+        pk = -np.dot(Hk, gfk)
+        ret = _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval,
+                                  old_old_fval)
+        if ret is None:
+            ret = _line_search_wolfe2(evaluate, xk, pk, gfk, old_fval,
+                                      old_old_fval)
+        if ret is None:
+            warnflag = 2
+            break
+        alpha_k, fval, gfkp1 = ret
+        old_old_fval, old_fval = old_fval, fval
+
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = evaluate(xk)[1]
+
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = np.amax(np.abs(gfk))
+        if (gnorm <= gtol):
+            break
+        # scipy's relative step test, alpha |pk| <= xrtol (xrtol + |xk|),
+        # at its default xrtol = 0
+        if alpha_k * _norm2(pk) <= 0 and np.isfinite(_norm2(xk)):
+            break
+        if not np.isfinite(old_fval):
+            warnflag = 2
+            break
+
+        rhok_inv = np.dot(yk, sk)
+        if rhok_inv == 0.:
+            rhok = 1000.0
+        else:
+            rhok = 1. / rhok_inv
+        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
+                                           sk[np.newaxis, :])
+
+    if warnflag != 2:
+        if k >= maxiter:
+            warnflag = 1
+        elif np.isnan(gnorm) or np.isnan(old_fval) or np.isnan(xk).any():
+            warnflag = 3
+    return BfgsResult(x=xk, fun=old_fval, nit=k, nfev=nfev, status=warnflag)
+
+
+def _norm2(x):
+    return np.sum(np.abs(x)**2, axis=0)**(1.0 / 2)
+
+
+def _initial_step(phi0, old_phi0, derphi0):
+    """Step guess 1.01 * 2 (phi0 - old_phi0) / phi'(0), at most 1."""
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01*2*(phi0 - old_phi0)/derphi0)
+    else:
+        alpha1 = 1.0
+    if alpha1 < 0:
+        alpha1 = 1.0
+    return alpha1
+
+
+def _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval, old_old_fval):
+    """DCSRCH along pk: (alpha, f, gradient) at the step, or None."""
+    gval = [gfk]
+
+    def phi_and_derphi(s):
+        f, gval[0] = evaluate(xk + s*pk)
+        return f, np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha1 = _initial_step(old_fval, old_old_fval, derphi0)
+    ret = _dcsrch(phi_and_derphi, alpha1, old_fval, derphi0)
+    if ret is None:
+        return None
+    return ret[0], ret[1], gval[0]
+
+
+def _dcsrch(phi_and_derphi, stp, finit, ginit):
+    """MINPACK-2 DCSRCH: a step satisfying the strong Wolfe conditions.
+
+    Returns (stp, phi(stp)) on convergence, None on a warning, an input
+    error or 100 evaluations.  The state that scipy's DCSRCH class keeps
+    in attributes is held in locals here.
+    """
+    ftol, gtol, xtol = _C1, _C2, 1e-14
+    stpmin, stpmax = _STEP_MIN, _STEP_MAX
+    p5, p66, xtrapl, xtrapu = 0.5, 0.66, 1.1, 4.0
+    if stp < stpmin or stp > stpmax or ginit >= 0:
+        return None
+    brackt = False
+    stage = 1
+    gtest = ftol * ginit
+    width = stpmax - stpmin
+    width1 = width / p5
+    stx, fx, gx = 0.0, finit, ginit
+    sty, fy, gy = 0.0, finit, ginit
+    stmin = 0
+    stmax = stp + xtrapu * stp
+    for it in range(100):
+        if it:
+            ftest = finit + stp * gtest
+            if stage == 1 and f <= ftest and g >= 0:
+                stage = 2
+            if f <= ftest and abs(g) <= gtol * -ginit:
+                return stp, f
+            if (brackt and (stp <= stmin or stp >= stmax)
+                    or brackt and stmax - stmin <= xtol * stmax
+                    or stp == stpmax and f <= ftest and g <= gtest
+                    or stp == stpmin and (f > ftest or g >= gtest)):
+                return None
+
+            if stage == 1 and f <= fx and f > ftest:
+                # the modified function psi(stp) = f - stp * gtest
+                fm = f - stp * gtest
+                fxm = fx - stx * gtest
+                fym = fy - sty * gtest
+                gm = g - gtest
+                gxm = gx - gtest
+                gym = gy - gtest
+                with np.errstate(invalid="ignore", over="ignore"):
+                    stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                        stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt,
+                        stmin, stmax)
+                fx = fxm + stx * gtest
+                fy = fym + sty * gtest
+                gx = gxm + gtest
+                gy = gym + gtest
+            else:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                        stx, fx, gx, sty, fy, gy, stp, f, g, brackt,
+                        stmin, stmax)
+
+            # bisect when the bracket does not shrink fast enough
+            if brackt:
+                if abs(sty - stx) >= p66 * width1:
+                    stp = stx + p5 * (sty - stx)
+                width1 = width
+                width = abs(sty - stx)
+            if brackt:
+                stmin = min(stx, sty)
+                stmax = max(stx, sty)
+            else:
+                stmin = stp + xtrapl * (stp - stx)
+                stmax = stp + xtrapu * (stp - stx)
+            stp = np.clip(stp, stpmin, stpmax)
+            # no further progress possible: fall back to the best step
+            if (brackt and (stp <= stmin or stp >= stmax)
+                    or (brackt and stmax - stmin <= xtol * stmax)):
+                stp = stx
+        if not np.isfinite(stp):
+            return None
+        f, g = phi_and_derphi(stp)
+    return None
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2 DCSTEP: a safeguarded cubic or quadratic step, and the
+    updated interval (stx, sty) that brackets a minimizer once brackt."""
+    sgnd = np.sign(dp) * np.sign(dx)
+    if fp > fx:
+        # higher function value: the minimum is bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp < stx:
+            gamma *= -1
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        r = p / q
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (
+            stp - stx)
+        if abs(stpc - stx) <= abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0.0:
+        # lower value, derivatives of opposite sign: bracketed
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp > stx:
+            gamma *= -1
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        r = p / q
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if abs(stpc - stp) > abs(stpq - stp):
+            stpf = stpc
+        else:
+            stpf = stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # lower value, same sign, the derivative's magnitude decreases
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt(max(0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            if abs(stpc - stp) < abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            if abs(stpc - stp) > abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            stpf = np.clip(stpf, stpmin, stpmax)
+    else:
+        # lower value, same sign, the derivative does not decrease
+        if brackt:
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            r = p / q
+            stpc = stp + r * (sty - stp)
+            stpf = stpc
+        elif stp > stx:
+            stpf = stpmax
+        else:
+            stpf = stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search_wolfe2(evaluate, xk, pk, gfk, old_fval, old_old_fval):
+    """Bracket-and-zoom search along pk: (alpha, f, gradient or None) at
+    the step, or None."""
+    gval = [None]
+
+    def phi(alpha):
+        return evaluate(xk + alpha * pk)[0]
+
+    def derphi(alpha):
+        gval[0] = evaluate(xk + alpha * pk)[1]
+        return np.dot(gval[0], pk)
+
+    phi0 = old_fval
+    derphi0 = np.dot(gfk, pk)
+    alpha0 = 0
+    amax = _STEP_MAX
+    alpha1 = min(_initial_step(phi0, old_old_fval, derphi0), amax)
+    phi_a1 = phi(alpha1)
+    phi_a0 = phi0
+    derphi_a0 = derphi0
+    for i in range(10):
+        if alpha1 == 0 or alpha0 > amax:
+            return None
+        if (phi_a1 > phi0 + _C1 * alpha1 * derphi0) or \
+           ((phi_a1 >= phi_a0) and i > 0):
+            star = _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi,
+                         derphi, phi0, derphi0)
+            break
+        derphi_a1 = derphi(alpha1)
+        if (abs(derphi_a1) <= -_C2*derphi0):
+            star = alpha1, phi_a1, derphi_a1
+            break
+        if (derphi_a1 >= 0):
+            star = _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi,
+                         derphi, phi0, derphi0)
+            break
+        alpha2 = min(2 * alpha1, amax)
+        alpha0 = alpha1
+        alpha1 = alpha2
+        phi_a0 = phi_a1
+        phi_a1 = phi(alpha1)
+        derphi_a0 = derphi_a1
+    else:
+        # out of iterations: the step stands, its gradient is unknown
+        return alpha1, phi_a1, None
+    if star[0] is None:
+        return None
+    return star[0], star[1], gval[0]
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with
+    slope fpa at a, or None."""
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        try:
+            C = fpa
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc ** 2
+            d1[0, 1] = -db ** 2
+            d1[1, 0] = -dc ** 3
+            d1[1, 1] = db ** 3
+            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db,
+                                            fc - fa - C * dc]).flatten())
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * C
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope
+    fpa at a, or None."""
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        try:
+            D = fa
+            C = fpa
+            db = b - a * 1.0
+            B = (fb - D - C * db) / (db * db)
+            xmin = a - C / (2.0 * B)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0,
+          derphi0):
+    """Shrink [a_lo, a_hi] to a strong-Wolfe step by cubic, quadratic or
+    bisection trial steps: (alpha, phi, phi') or (None, None, None)."""
+    i = 0
+    delta1 = 0.2    # cubic interpolant check
+    delta2 = 0.1    # quadratic interpolant check
+    phi_rec = phi0
+    a_rec = 0
+    while True:
+        dalpha = a_hi - a_lo
+        if dalpha < 0:
+            a, b = a_hi, a_lo
+        else:
+            a, b = a_lo, a_hi
+        if (i > 0):
+            cchk = delta1 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi,
+                            a_rec, phi_rec)
+        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
+            qchk = delta2 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if (a_j is None) or (a_j > b-qchk) or (a_j < a+qchk):
+                a_j = a_lo + 0.5*dalpha
+
+        phi_aj = phi(a_j)
+        if (phi_aj > phi0 + _C1*a_j*derphi0) or (phi_aj >= phi_lo):
+            phi_rec = phi_hi
+            a_rec = a_hi
+            a_hi = a_j
+            phi_hi = phi_aj
+        else:
+            derphi_aj = derphi(a_j)
+            if abs(derphi_aj) <= -_C2*derphi0:
+                return a_j, phi_aj, derphi_aj
+            if derphi_aj*(a_hi - a_lo) >= 0:
+                phi_rec = phi_hi
+                a_rec = a_hi
+                a_hi = a_lo
+                phi_hi = phi_lo
+            else:
+                phi_rec = phi_lo
+                a_rec = a_lo
+            a_lo = a_j
+            phi_lo = phi_aj
+            derphi_lo = derphi_aj
+        i += 1
+        if (i > 10):
+            return None, None, None

@@ -10,22 +10,23 @@ it naturally.
 
 Every rank fit runs the same multistart (see `mle`).  Ranks 2-4 use
 damped Newton on the analytic Hessian (Levenberg-Marquardt damping,
-More 1978): it takes a fraction of scipy BFGS's time, and from the same
-starts it almost always ends at the optimum BFGS ends at.  Rank 1 stays
-on scipy BFGS: its landscape has many optima, Newton ends at a
-different one from about a quarter of the starts, and that moves the
-published rank-1 AIC.
+More 1978): it takes a fraction of BFGS's time, and from the same
+starts it almost always ends at the optimum BFGS ends at.  Rank 1 runs
+BFGS, from `_bfgs`, an in-package port of scipy's BFGS that ends at
+scipy's point bit for bit: the rank-1 landscape has many optima,
+Newton ends at a different one from about a quarter of the starts, and
+that moves the published rank-1 AIC.  The package needs numpy only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
+from ._bfgs import minimize
 from .exceptions import InvariantViolation, TomographyError
-from .projectors import (check_counts, linear_tomography, mean_counts,
+from .projectors import (_check_count_vector, check_counts,
+                         linear_tomography, mean_counts,
                          means_and_derivatives)
 from .states import (
     CholeskyModel,
@@ -70,66 +71,93 @@ def aic(log_likelihood, rank):
 
 
 def log_likelihood(model, counts, pset):
-    """Poisson log-likelihood sum_nu [-M + n ln M - ln n!]."""
-    n = check_counts(counts)
+    """Poisson log-likelihood sum_nu [-M + n ln M - ln n!]; `counts` may
+    also be expected counts."""
+    n = _check_count_vector(counts)
     m = np.maximum(mean_counts(model, pset), MEAN_CLAMP)
-    return float(np.sum(-m + n * np.log(m) - gammaln(n + 1.0)))
+    return float(np.sum(-m + n * np.log(m)) - _log_factorials(n))
+
+
+def _log_factorials(n):
+    """sum_nu ln(n_nu!)."""
+    return math.fsum(math.lgamma(v + 1.0) for v in n.tolist())
 
 
 def log_likelihood_gradient(model, counts, pset):
     """Closed-form score sum_nu (n/M - 1) dM/dtheta."""
-    n = check_counts(counts)
+    n = _check_count_vector(counts)
     m, dm = means_and_derivatives(model.params, pset)
     return (n / np.maximum(m, MEAN_CLAMP) - 1.0) @ dm
 
 
-def _negloglik(theta, n, pset, lgamma):
-    """Negative log-likelihood, the clamped means and their gradients."""
-    m, dm = means_and_derivatives(theta, pset)
-    m = np.maximum(m, MEAN_CLAMP)
-    return -np.sum(-m + n * np.log(m)) + lgamma, m, dm
+def _rank_q(pset, k):
+    """The rank's quadratic forms as one contiguous (16 k, k) block, so
+    that theta' Q_nu for every nu is one matrix-vector product."""
+    return np.ascontiguousarray(pset.q[:, :k, :k]).reshape(16 * k, k)
 
 
-def _negloglik_and_grad(theta, n, pset, lgamma):
-    f, m, dm = _negloglik(theta, n, pset, lgamma)
-    return f, -((n / m - 1.0) @ dm)
+def _negloglik(theta, n, q, lgamma):
+    """Negative log-likelihood, the clamped means M and the rows
+    theta' Q_nu (half of dM/dtheta), q from `_rank_q`."""
+    qt = (q @ theta).reshape(16, len(theta))
+    m = np.maximum(qt @ theta, MEAN_CLAMP)
+    return lgamma - (n * np.log(m) - m).sum(), m, qt
 
 
-def _newton(theta, n, pset, lgamma):
+def _negloglik_and_grad(theta, n, q, lgamma):
+    f, m, qt = _negloglik(theta, n, q, lgamma)
+    return f, -((n / m - 1.0) @ (2.0 * qt))
+
+
+def _newton(theta, n, q, lgamma):
     """Levenberg-Marquardt-damped Newton on the analytic Hessian
     H = sum_nu [2(1 - n/M) Q_nu + (n/M^2) dM dM^T].
 
-    The damping shift is mu * max(1, max|diag H|); a step is kept if the
-    objective does not rise, and mu shrinks by 3 on a kept step and
-    grows by 4 on a rejected one (or when H + shift is not positive
-    definite).  Returns (theta, f, iterations), f the negative
-    log-likelihood and iterations the number of kept steps.
+    The damping shift is mu * max(1, max|diag H|).  A trial step is kept
+    if it lowers the objective, and mu shrinks by 3; otherwise (or when
+    H + shift is not positive definite) mu grows by 4.  A trial that
+    leaves the objective exactly unchanged ends the fit: the step is
+    below the objective's round-off, and more damping only shortens it.
+    A larger shift of a positive definite H + shift stays positive
+    definite, so the Cholesky test runs only until one trial passes it.
+    Returns (theta, f, iterations), f the negative log-likelihood and
+    iterations the number of kept steps.
     """
     k = len(theta)
-    q = np.ascontiguousarray(pset.q[:, :k, :k]).reshape(16, k * k)
+    q2 = 2.0 * q.reshape(16, k * k)
     eye = np.eye(k)
-    f, m, dm = _negloglik(theta, n, pset, lgamma)
+    f, m, qt = _negloglik(theta, n, q, lgamma)
     mu = _NEWTON_MU0
     iterations = 0
     while iterations < _NEWTON_MAXITER:
-        w = 1.0 - n / m
+        r = n / m
+        w = 1.0 - r
+        dm = 2.0 * qt
         g = w @ dm
-        if np.abs(g).max() <= _NEWTON_GTOL * max(1.0, abs(f)):
+        if max(map(abs, g.tolist())) <= _NEWTON_GTOL * max(1.0, abs(f)):
             break
-        h = 2.0 * (w @ q).reshape(k, k) + (dm.T * (n / m**2)) @ dm
-        shift = max(1.0, np.abs(h.diagonal()).max())
+        h = (w @ q2).reshape(k, k) + (dm.T * (r / m)) @ dm
+        shift = max(1.0, *map(abs, h.diagonal().tolist()))
+        definite = False
         while True:
-            chol, info = dpotrf(h + mu * shift * eye, lower=1, clean=0)
-            if info == 0:
-                trial = theta - dpotrs(chol, g, lower=1)[0]
-                f_trial, m_trial, dm_trial = _negloglik(trial, n, pset,
-                                                        lgamma)
-                if f_trial <= f:
+            a = h + mu * shift * eye
+            if not definite:
+                try:
+                    np.linalg.cholesky(a)
+                    definite = True
+                except np.linalg.LinAlgError:
+                    pass
+            if definite:
+                trial = theta - np.linalg.solve(a, g)
+                f_trial, m_trial, qt_trial = _negloglik(trial, n, q, lgamma)
+                if f_trial < f:
                     break
+                if f_trial == f:
+                    return theta, f, iterations
             mu *= 4.0
             if mu > _NEWTON_MU_MAX:
                 return theta, f, iterations
-        theta, f, m, dm = trial, f_trial, m_trial, dm_trial
+        theta, f, m, qt = trial, f_trial, m_trial, qt_trial
         mu = max(mu / 3.0, _NEWTON_MU_MIN)
         iterations += 1
     return theta, f, iterations
@@ -180,26 +208,27 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
     Fits from the PSD-clipped linear inversion, then from `warm`
     (zero-padded to the rank's parameter count), then from `restarts`
     jittered copies of the linear inversion; the best end point wins.
-    Rank 1 runs scipy BFGS on the analytic score, ranks 2-4 damped
-    Newton on the analytic Hessian (see the module docstring for why
-    the ranks differ).  The jitter generator is fixed per rank, so the
-    fit is a function of (counts, warm, restarts) alone.  `converged`
-    reports whether the score vanishes at the result; `iterations` sums
-    the solver's iterations over the starts.
+    Rank 1 runs the in-package port of scipy's BFGS on the analytic
+    score, ranks 2-4 damped Newton on the analytic Hessian (see the
+    module docstring for why the ranks differ).  The jitter generator is
+    fixed per rank, so the fit is a function of (counts, warm, restarts)
+    alone.  `counts` may also be expected counts, as for a noiseless
+    fit.  `converged` reports whether the score vanishes at the result;
+    `iterations` sums the solver's iterations over the starts.
     """
-    n = check_counts(counts)
-    lgamma = float(np.sum(gammaln(n + 1.0)))
+    n = _check_count_vector(counts)
+    lgamma = _log_factorials(n)
+    q = _rank_q(pset, RANK_NPARAMS[rank])
 
     best_theta, best_f = None, None
     total_iter = 0
     for x0 in _starts(n, pset, rank, warm, restarts):
         if rank == 1:
-            res = minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
-                           jac=True, method="BFGS",
-                           options={"gtol": 1e-7, "maxiter": 2000})
+            res = minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
+                           gtol=1e-7, maxiter=2000)
             x, f, nit = res.x, res.fun, res.nit
         else:
-            x, f, nit = _newton(x0, n, pset, lgamma)
+            x, f, nit = _newton(x0, n, q, lgamma)
         total_iter += int(nit)
         if best_theta is None or f < best_f:
             best_theta, best_f = x, f
@@ -232,7 +261,8 @@ def _canonical_gauge(theta, rank):
 
 
 def maice(counts, pset, restarts=_N_RESTARTS):
-    """Fit all four rank models; pick the minimum-AIC one.
+    """Fit all four rank models to integer counts; pick the minimum-AIC
+    one.
 
     Each rank is additionally warm-started from the best parameters of
     the rank below, which enforces the nested-model likelihood

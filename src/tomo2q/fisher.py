@@ -36,8 +36,11 @@ _SLD_CUTOFF = 1e-14
 
 def _check_info_matrix(entries, what):
     entries = np.asarray(entries, dtype=float)
-    if not np.allclose(entries, entries.T, atol=_SYM_TOL * max(
-            1.0, np.abs(entries).max())):
+    # np.allclose(entries, entries.T, rtol=1e-5, atol) for finite entries;
+    # NaN or inf fails
+    atol = _SYM_TOL * max(1.0, np.abs(entries).max())
+    if not (np.abs(entries - entries.T)
+            <= atol + 1e-5 * np.abs(entries.T)).all():
         raise InconsistentDirectionError(f"{what} must be symmetric")
     w = np.linalg.eigvalsh(0.5 * (entries + entries.T))
     norm = max(np.abs(w).max(), 1e-300)
@@ -80,7 +83,7 @@ class BoundReport:
 
 
 def density_gradient(model):
-    """The k Hermitian traceless matrices d(rho)/d(theta_i)."""
+    """The k Hermitian traceless matrices d(rho)/d(theta_i), stacked."""
     t4 = triangular(model)
     lam = model.lambda_scale
     rho = density_from_cholesky(model)
@@ -89,7 +92,7 @@ def density_gradient(model):
     dw = dw + np.transpose(dw.conj(), (0, 2, 1))    # + T E_i*
     dtr = np.real(np.trace(dw, axis1=1, axis2=2))
     grads = dw / lam - rho[None, :, :] * (dtr / lam)[:, None, None]
-    return [0.5 * (g + g.conj().T) for g in grads]
+    return 0.5 * (grads + np.transpose(grads.conj(), (0, 2, 1)))
 
 
 def fisher_analytic(model, pset, acquisition_time=1.0):
@@ -185,7 +188,7 @@ def sld_fisher(model):
     For Hermitian rho and L that is Re Tr[rho L_i L_j].
     """
     rho = density_from_cholesky(model)
-    L = sld(rho, np.asarray(density_gradient(model)))
+    L = sld(rho, density_gradient(model))
     entries = np.einsum('iab,jba->ij', rho @ L, L).real
     entries = 0.5 * (entries + entries.T)
     return SldFisherMatrix(entries=entries, rank_model=model.rank,

@@ -170,7 +170,9 @@ def mean_counts_of_density(rho, lam, pset):
     return np.clip(m, 0.0, None)
 
 
-def check_counts(counts):
+def _check_count_vector(counts):
+    """16 non-negative finite numbers, counts or expected counts, as
+    floats."""
     counts = np.asarray(counts)
     if counts.shape != (16,):
         raise InvariantViolation(f"expected 16 counts, got shape {counts.shape}")
@@ -181,13 +183,24 @@ def check_counts(counts):
     return np.asarray(counts, dtype=float)
 
 
+def check_counts(counts):
+    """16 non-negative integer counts, as floats."""
+    n = _check_count_vector(counts)
+    bad = np.flatnonzero(n != np.floor(n))
+    if bad.size:
+        i = int(bad[0])
+        raise InvariantViolation(
+            f"counts must be integers; entry {i} is {float(n[i])!r}")
+    return n
+
+
 def linear_tomography(counts, pset):
     """Invert n = B (lambda phi) and split off lambda from phi^0 = 1.
 
     Returns (phi, lambda_hat). Exact on noiseless means; the implied
     density matrix is Hermitian with unit trace but not necessarily PSD.
     """
-    counts = check_counts(counts)
+    counts = _check_count_vector(counts)
     if not pset.complete:
         raise InvariantViolation(
             f"projector set '{pset.name}' is not tomographically complete")

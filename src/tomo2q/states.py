@@ -55,6 +55,7 @@ def _cholesky_basis():
 # entry, then a real/imaginary pair for each entry below it, so rank k
 # uses the first RANK_NPARAMS[k] slots.
 T_BASIS = _cholesky_basis()
+_T_ROWS = T_BASIS.reshape(16, 16)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class CholeskyModel:
 
 def triangular(model):
     """Assemble the 4x4 lower-triangular T = sum_i theta_i T_BASIS[i]."""
-    return np.tensordot(model.params, T_BASIS[:model.nparams], axes=1)
+    return (model.params @ _T_ROWS[:model.nparams]).reshape(4, 4)
 
 
 def params_from_triangular(t, rank):

@@ -1,0 +1,86 @@
+"""The rank-1 BFGS port against scipy, and an import that needs numpy
+only."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tomo2q
+from tomo2q import _bfgs
+from tomo2q.estimation import (_log_factorials, _negloglik_and_grad, _rank_q,
+                               _starts)
+
+# the published tables in row-major grid order (c01, c02)
+C01 = [615, 553, 550, 576, 613, 605, 575, 622,
+       596, 577, 574, 569, 609, 601, 591, 569]
+C02 = [42, 45, 60, 56, 25, 2504, 1309, 1431,
+       31, 1148, 514, 599, 33, 1125, 576, 487]
+# bell(0.05) on the inseparable set at lambda 1e4: the first line search
+# of the second start fails, and the fallback search rescues it
+RESCUED = [9790, 135, 132, 118, 2611, 2531, 2568, 2536,
+           2462, 2515, 2554, 2445, 2488, 2500, 2597, 2451]
+# corpus draws on the local set whose line searches bisect, zoom by cubic
+# interpolation (mixed, lambda 1e3) and step on DCSRCH's modified
+# function (bell(0.05), lambda 1e4)
+BISECTED = [263, 246, 247, 238, 224, 250, 257, 254,
+            246, 247, 252, 258, 271, 263, 244, 274]
+MODIFIED = [4843, 117, 2554, 2479, 137, 4916, 2492, 2551,
+            2508, 2567, 4819, 2495, 2462, 2493, 2577, 4915]
+
+
+@pytest.mark.parametrize("counts, set_name", [(C01, "local"),
+                                              (C02, "local"),
+                                              (RESCUED, "insep"),
+                                              (BISECTED, "local"),
+                                              (MODIFIED, "local")],
+                         ids=["c01", "c02", "fallback-rescue", "bisection",
+                              "modified-function"])
+def test_bfgs_port_matches_scipy(local_set, insep_set, monkeypatch,
+                                 counts, set_name):
+    scipy = pytest.importorskip("scipy")
+    if tuple(map(int, scipy.__version__.split(".")[:2])) < (1, 17):
+        pytest.skip("the port follows scipy 1.17's BFGS")
+    from scipy import optimize
+    pset = local_set if set_name == "local" else insep_set
+    n = np.asarray(counts, dtype=float)
+    args = (n, _rank_q(pset, 7), _log_factorials(n))
+    fallback = []
+    wolfe2 = _bfgs._line_search_wolfe2
+
+    def recorded(*a):
+        out = wolfe2(*a)
+        fallback.append(out is not None)
+        return out
+
+    monkeypatch.setattr(_bfgs, "_line_search_wolfe2", recorded)
+    statuses = set()
+    for x0 in _starts(n, pset, 1, None, 4):
+        ref = optimize.minimize(_negloglik_and_grad, x0, args=args,
+                                jac=True, method="BFGS",
+                                options={"gtol": 1e-7, "maxiter": 2000})
+        res = _bfgs.minimize(_negloglik_and_grad, x0, args=args, gtol=1e-7,
+                             maxiter=2000)
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        assert (res.nit, res.nfev, res.status) == (ref.nit, ref.nfev,
+                                                   ref.status)
+        statuses.add(res.status)
+    if counts in (C01, C02):
+        assert 2 in statuses        # a start ends on a failed line search
+    if counts is RESCUED:
+        assert True in fallback     # the fallback search rescued a start
+
+
+def test_import_loads_no_scipy():
+    src = Path(tomo2q.__file__).resolve().parents[1]
+    code = ("import sys, tomo2q, tomo2q.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"

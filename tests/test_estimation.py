@@ -4,8 +4,11 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from tomo2q.estimation import (
+    _NEWTON_MAXITER,
+    _log_factorials,
     _negloglik_and_grad,
     _newton,
+    _rank_q,
     _starts,
     EstimationResult,
     aic,
@@ -165,7 +168,8 @@ def _bfgs_reference(rank, n, pset):
     """Best scipy-BFGS log-likelihood from the starts `mle` uses."""
     n = np.asarray(n, dtype=float)
     lgamma = float(np.sum(gammaln(n + 1.0)))
-    return -min(minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
+    q = _rank_q(pset, RANK_NPARAMS[rank])
+    return -min(minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
                          jac=True, method="BFGS",
                          options={"gtol": 1e-7, "maxiter": 2000}).fun
                 for x0 in _starts(n, pset, rank, None, 4))
@@ -204,8 +208,23 @@ def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
     # Newton stops at |g| <= 1e-9 |logL|, which leaves M - n at ~1e-9 n
     lgamma = float(np.sum(gammaln(n + 1.0)))
     for x0 in _starts(n, local_set, 4, None, 4)[1:]:
-        theta = _newton(x0, n.astype(float), local_set, lgamma)[0]
+        theta = _newton(x0, n.astype(float), _rank_q(local_set, 16),
+                        lgamma)[0]
         assert misfit(theta) < 1e-8
+
+
+def test_newton_stops_at_the_round_off_floor(insep_set):
+    # bell(0.05) on the inseparable set at lambda 1e4: from the linear
+    # inversion, rank 3 reaches a point where trial steps change f only by
+    # round-off; keeping such steps used to run to the iteration cap
+    n = np.array([9656, 122, 106, 137, 2472, 2562, 2401, 2543,
+                  2444, 2384, 2535, 2479, 2523, 2573, 2523, 2500], float)
+    x0 = _starts(n, insep_set, 3, None, 0)[0]
+    theta, f, steps = _newton(x0, n, _rank_q(insep_set, 15),
+                              _log_factorials(n))
+    assert steps < _NEWTON_MAXITER // 10
+    score = log_likelihood_gradient(CholeskyModel(3, theta), n, insep_set)
+    assert np.max(np.abs(score)) <= 1e-6 * max(1.0, abs(f))
 
 
 def test_maice_selects_true_rank_and_orders_loglik(local_set):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tomo2q.estimation import maice
 from tomo2q.exceptions import InvariantViolation, InversionError
 from tomo2q.projectors import (
     LOCAL_LABELS,
@@ -148,6 +149,19 @@ def test_check_counts_rejections():
         check_counts(np.array([1.0] * 15 + [-2.0]))
     with pytest.raises(InvariantViolation):
         check_counts(np.array([np.inf] + [1.0] * 15))
+
+
+def test_check_counts_rejects_fractional_counts(local_set):
+    with pytest.raises(InvariantViolation, match="entry 0 is 0.5"):
+        check_counts(np.full(16, 0.5))
+    counts = np.arange(16.0)
+    counts[[3, 9]] = [2.25, 7.5]
+    with pytest.raises(InvariantViolation, match="entry 3 is 2.25"):
+        check_counts(counts)
+    with pytest.raises(InvariantViolation, match="integers"):
+        maice(counts, local_set)
+    # integer values stored as floats are counts
+    assert np.array_equal(check_counts(np.arange(16.0)), np.arange(16.0))
 
 
 def test_projector_set_validation():

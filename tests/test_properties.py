@@ -2,15 +2,20 @@
 hand-picked cases.  Examples are derandomized, so every run checks the
 same inputs."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tomo2q.cli import _config_from_args, build_parser
 from tomo2q.estimation import maice
-from tomo2q.exceptions import CountsParseError
+from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
-from tomo2q.simulate import read_counts
+from tomo2q.simulate import SimulationConfig, read_counts
 from tomo2q.states import (
     CholeskyModel,
     RANK_NPARAMS,
@@ -148,3 +153,57 @@ def test_read_counts_reports_the_line_of_a_bad_token(
     with pytest.raises(CountsParseError) as err:
         read_counts(counts_path)
     assert err.value.line_number == where[bad]
+
+
+# SimulationConfig field -> (sweep flag, valid values)
+_SWEEP_FIELDS = {
+    "true_state": ("--state", st.sampled_from(["mixed", "product", "bell"])),
+    "rate": ("--rate", st.floats(0.5, 1e4)),
+    "trials": ("--trials", st.integers(1, 500)),
+    "estimator": ("--estimator", st.sampled_from(["mle16", "maice"])),
+    "basis": ("--basis", st.sampled_from(["local", "inseparable"])),
+    "seed": ("--seed", st.integers(0, 2**31)),
+    "epsilon": ("--eps", st.floats(0.0, 0.5)),
+    "acquisition_times": ("--times",
+                          st.lists(st.floats(0.01, 100.0), min_size=1,
+                                   max_size=5)),
+}
+
+
+def _simulate_config(file_values, flag_values):
+    """_config_from_args for `simulate --config FILE` plus flags."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(file_values, fh)
+        argv = ["simulate", "--config", path]
+        for key, value in flag_values.items():
+            if key == "acquisition_times":
+                value = ",".join(repr(t) for t in value)
+            argv += [_SWEEP_FIELDS[key][0], str(value)]
+        return _config_from_args(build_parser().parse_args(argv))
+    finally:
+        os.remove(path)
+
+
+@examples(40)
+@given(data=st.data(),
+       in_file=st.sets(st.sampled_from(sorted(_SWEEP_FIELDS))),
+       in_flags=st.sets(st.sampled_from(sorted(_SWEEP_FIELDS))))
+def test_config_flags_override_file_values(data, in_file, in_flags):
+    file_values = {k: data.draw(_SWEEP_FIELDS[k][1]) for k in sorted(in_file)}
+    flag_values = {k: data.draw(_SWEEP_FIELDS[k][1])
+                   for k in sorted(in_flags)}
+    cfg = _simulate_config(file_values, flag_values)
+    want = {**SimulationConfig().__dict__, **file_values, **flag_values}
+    want["acquisition_times"] = tuple(want["acquisition_times"])
+    assert cfg == SimulationConfig(**want)
+
+
+@examples(20)
+@given(key=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+       value=st.one_of(st.integers(), st.text(max_size=5)))
+def test_config_unknown_keys_are_errors(key, value):
+    assume(key not in SimulationConfig.__dataclass_fields__)
+    with pytest.raises(TomographyError, match=key):
+        _simulate_config({"trials": 2, key: value}, {})
