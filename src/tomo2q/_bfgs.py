@@ -1,15 +1,24 @@
 """BFGS with a strong-Wolfe line search, for the rank-1 fit.
 
-A port of scipy 1.17's `_minimize_bfgs` with `jac=True` and its line
-searches: `line_search_wolfe1`, which runs MINPACK-2's DCSRCH/DCSTEP
-(More and Thuente, ACM TOMS 20, 286, 1994), and the
-`line_search_wolfe2` fallback (Nocedal and Wright, Numerical
-Optimization, 1999, algorithms 3.5 and 3.6).  Every floating-point
-operation runs in scipy's order, so from the same start the port ends
-at the same point, bit for bit, after the same number of iterations
-and objective evaluations.  Options the rank-1 fit does not use
-(callbacks, finite differences, `xrtol`, a custom initial inverse
-Hessian, `c1`/`c2`) are left out.
+A port of scipy 1.17's `_minimize_bfgs` with `jac=True` and its
+More-Thuente line search `line_search_wolfe1`, which runs MINPACK-2's
+DCSRCH/DCSTEP (More and Thuente, ACM TOMS 20, 286, 1994).  Every
+floating-point operation runs in scipy's order, so wherever DCSRCH
+succeeds the port follows scipy bit for bit: from the same start it
+ends at the same point after the same number of iterations and
+objective evaluations.
+
+scipy's fallback search, `line_search_wolfe2` (Nocedal and Wright,
+Numerical Optimization, 1999, algorithms 3.5 and 3.6), is left out.
+When DCSRCH fails the port stops with status 2 at the current point,
+which is where scipy ends whenever its fallback fails as well.  The
+fallback runs in about half of all rank-1 runs, but it does not change
+the fit `mle` returns: on 1,034 `maice` tables (the 120-vector test
+corpus, the published c01/c02 tables, 720 boundary-regime pool vectors
+and 192 further random draws) the per-rank log-likelihoods moved by at
+most 5.8e-11, and no selected rank or `converged` flag changed.  Other
+options the rank-1 fit does not use (callbacks, finite differences,
+`xrtol`, a custom initial inverse Hessian, `c1`/`c2`) are left out too.
 
 Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 All rights reserved.
@@ -46,14 +55,6 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 from typing import NamedTuple
 
 import numpy as np
-
-# Armijo and curvature constants of the strong Wolfe conditions
-_C1 = 1e-4
-_C2 = 0.9
-# the bounds line_search_wolfe1 gets from scipy's BFGS on the step, and
-# the fallback search's largest step
-_STEP_MIN = 1e-100
-_STEP_MAX = 1e100
 
 
 class BfgsResult(NamedTuple):
@@ -96,9 +97,7 @@ def minimize(fun, x0, args, gtol, maxiter):
         ret = _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval,
                                   old_old_fval)
         if ret is None:
-            ret = _line_search_wolfe2(evaluate, xk, pk, gfk, old_fval,
-                                      old_old_fval)
-        if ret is None:
+            # scipy tries its line_search_wolfe2 here; the port stops
             warnflag = 2
             break
         alpha_k, fval, gfkp1 = ret
@@ -106,9 +105,6 @@ def minimize(fun, x0, args, gtol, maxiter):
 
         sk = alpha_k * pk
         xk = xk + sk
-        if gfkp1 is None:
-            gfkp1 = evaluate(xk)[1]
-
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
@@ -179,8 +175,10 @@ def _dcsrch(phi_and_derphi, stp, finit, ginit):
     error or 100 evaluations.  The state that scipy's DCSRCH class keeps
     in attributes is held in locals here.
     """
-    ftol, gtol, xtol = _C1, _C2, 1e-14
-    stpmin, stpmax = _STEP_MIN, _STEP_MAX
+    # the Armijo and curvature constants of the strong Wolfe conditions,
+    # and the bounds on the step that scipy's BFGS passes
+    ftol, gtol, xtol = 1e-4, 0.9, 1e-14
+    stpmin, stpmax = 1e-100, 1e100
     p5, p66, xtrapl, xtrapu = 0.5, 0.66, 1.1, 4.0
     if stp < stpmin or stp > stpmax or ginit >= 0:
         return None
@@ -347,148 +345,3 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             sty, fy, dy = stx, fx, dx
         stx, fx, dx = stp, fp, dp
     return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
-def _line_search_wolfe2(evaluate, xk, pk, gfk, old_fval, old_old_fval):
-    """Bracket-and-zoom search along pk: (alpha, f, gradient or None) at
-    the step, or None."""
-    gval = [None]
-
-    def phi(alpha):
-        return evaluate(xk + alpha * pk)[0]
-
-    def derphi(alpha):
-        gval[0] = evaluate(xk + alpha * pk)[1]
-        return np.dot(gval[0], pk)
-
-    phi0 = old_fval
-    derphi0 = np.dot(gfk, pk)
-    alpha0 = 0
-    amax = _STEP_MAX
-    alpha1 = min(_initial_step(phi0, old_old_fval, derphi0), amax)
-    phi_a1 = phi(alpha1)
-    phi_a0 = phi0
-    derphi_a0 = derphi0
-    for i in range(10):
-        if alpha1 == 0 or alpha0 > amax:
-            return None
-        if (phi_a1 > phi0 + _C1 * alpha1 * derphi0) or \
-           ((phi_a1 >= phi_a0) and i > 0):
-            star = _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi,
-                         derphi, phi0, derphi0)
-            break
-        derphi_a1 = derphi(alpha1)
-        if (abs(derphi_a1) <= -_C2*derphi0):
-            star = alpha1, phi_a1, derphi_a1
-            break
-        if (derphi_a1 >= 0):
-            star = _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi,
-                         derphi, phi0, derphi0)
-            break
-        alpha2 = min(2 * alpha1, amax)
-        alpha0 = alpha1
-        alpha1 = alpha2
-        phi_a0 = phi_a1
-        phi_a1 = phi(alpha1)
-        derphi_a0 = derphi_a1
-    else:
-        # out of iterations: the step stands, its gradient is unknown
-        return alpha1, phi_a1, None
-    if star[0] is None:
-        return None
-    return star[0], star[1], gval[0]
-
-
-def _cubicmin(a, fa, fpa, b, fb, c, fc):
-    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with
-    slope fpa at a, or None."""
-    with np.errstate(divide='raise', over='raise', invalid='raise'):
-        try:
-            C = fpa
-            db = b - a
-            dc = c - a
-            denom = (db * dc) ** 2 * (db - dc)
-            d1 = np.empty((2, 2))
-            d1[0, 0] = dc ** 2
-            d1[0, 1] = -db ** 2
-            d1[1, 0] = -dc ** 3
-            d1[1, 1] = db ** 3
-            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db,
-                                            fc - fa - C * dc]).flatten())
-            A /= denom
-            B /= denom
-            radical = B * B - 3 * A * C
-            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
-        except ArithmeticError:
-            return None
-    if not np.isfinite(xmin):
-        return None
-    return xmin
-
-
-def _quadmin(a, fa, fpa, b, fb):
-    """Minimizer of the quadratic through (a, fa), (b, fb) with slope
-    fpa at a, or None."""
-    with np.errstate(divide='raise', over='raise', invalid='raise'):
-        try:
-            D = fa
-            C = fpa
-            db = b - a * 1.0
-            B = (fb - D - C * db) / (db * db)
-            xmin = a - C / (2.0 * B)
-        except ArithmeticError:
-            return None
-    if not np.isfinite(xmin):
-        return None
-    return xmin
-
-
-def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0,
-          derphi0):
-    """Shrink [a_lo, a_hi] to a strong-Wolfe step by cubic, quadratic or
-    bisection trial steps: (alpha, phi, phi') or (None, None, None)."""
-    i = 0
-    delta1 = 0.2    # cubic interpolant check
-    delta2 = 0.1    # quadratic interpolant check
-    phi_rec = phi0
-    a_rec = 0
-    while True:
-        dalpha = a_hi - a_lo
-        if dalpha < 0:
-            a, b = a_hi, a_lo
-        else:
-            a, b = a_lo, a_hi
-        if (i > 0):
-            cchk = delta1 * dalpha
-            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi,
-                            a_rec, phi_rec)
-        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
-            qchk = delta2 * dalpha
-            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
-            if (a_j is None) or (a_j > b-qchk) or (a_j < a+qchk):
-                a_j = a_lo + 0.5*dalpha
-
-        phi_aj = phi(a_j)
-        if (phi_aj > phi0 + _C1*a_j*derphi0) or (phi_aj >= phi_lo):
-            phi_rec = phi_hi
-            a_rec = a_hi
-            a_hi = a_j
-            phi_hi = phi_aj
-        else:
-            derphi_aj = derphi(a_j)
-            if abs(derphi_aj) <= -_C2*derphi0:
-                return a_j, phi_aj, derphi_aj
-            if derphi_aj*(a_hi - a_lo) >= 0:
-                phi_rec = phi_hi
-                a_rec = a_hi
-                a_hi = a_lo
-                phi_hi = phi_lo
-            else:
-                phi_rec = phi_lo
-                a_rec = a_lo
-            a_lo = a_j
-            phi_lo = phi_aj
-            derphi_lo = derphi_aj
-        i += 1
-        if (i > 10):
-            return None, None, None

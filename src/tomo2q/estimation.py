@@ -12,10 +12,14 @@ Every rank fit runs the same multistart (see `mle`).  Ranks 2-4 use
 damped Newton on the analytic Hessian (Levenberg-Marquardt damping,
 More 1978): it takes a fraction of BFGS's time, and from the same
 starts it almost always ends at the optimum BFGS ends at.  Rank 1 runs
-BFGS, from `_bfgs`, an in-package port of scipy's BFGS that ends at
-scipy's point bit for bit: the rank-1 landscape has many optima,
-Newton ends at a different one from about a quarter of the starts, and
-that moves the published rank-1 AIC.  The package needs numpy only.
+BFGS from `_bfgs`, an in-package port of scipy's BFGS: the rank-1
+landscape has many optima, Newton ends at a different one from about a
+quarter of the starts, and that moves the published rank-1 AIC.  The
+port follows scipy bit for bit wherever its More-Thuente line search
+succeeds.  scipy's fallback line search is left out; on 1,034 `maice`
+tables that moved no per-rank log-likelihood by more than 5.8e-11 and
+changed no selected rank or `converged` flag.  The package needs numpy
+only.
 """
 
 import math
@@ -278,13 +282,3 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     best = min(results, key=lambda r: (r.aic, RANK_NPARAMS[r.rank]))
     return best, tuple(results)
 
-
-def kl_divergence(mean0, mean1):
-    """Kullback-Leibler distance between two Poisson count models."""
-    m0 = np.asarray(mean0, dtype=float)
-    m1 = np.asarray(mean1, dtype=float)
-    if m0.shape != (16,) or m1.shape != (16,):
-        raise InvariantViolation("means must be length-16 vectors")
-    if np.any(m0 <= 0) or np.any(m1 <= 0):
-        raise InvariantViolation("Poisson means must be strictly positive")
-    return float(np.sum(m0 * np.log(m0 / m1) - m0 + m1))

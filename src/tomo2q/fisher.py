@@ -3,8 +3,7 @@
 Under the Poisson count model the classical Fisher matrix has the
 closed form J_ij = sum_nu (1/M_nu) dM_i dM_j, so the analytic routine
 is exact and the Monte Carlo average of score outer products exists as
-a cross-check (and to exhibit the bias of the rounded-Gaussian
-sampling approximation at small means).
+a cross-check.
 
 The asymptotic bound on infidelity is 1 - F >= C/lambda with
 C = (1/8) Tr[J_SLD pinv(Jbar)], Jbar the Fisher matrix per unit of
@@ -121,26 +120,15 @@ def fisher_analytic(model, pset, acquisition_time=1.0):
                         acquisition_scale=model.lambda_scale * t)
 
 
-def fisher_mc(model, pset, n_samples, sampling="poisson", seed=0):
-    """Average of score outer products over sampled count vectors.
-
-    poisson draws the exact count distribution; gaussian draws a normal
-    with matching mean and variance rounded to the nearest nonnegative
-    integer, which is biased at small means.
-    """
+def fisher_mc(model, pset, n_samples, seed=0):
+    """Average of score outer products over Poisson count vectors."""
     n_samples = int(n_samples)
     if n_samples < 100:
         raise InvariantViolation("n_samples must be at least 100")
-    if sampling not in ("gaussian", "poisson"):
-        raise InvariantViolation("sampling must be 'gaussian' or 'poisson'")
     m, dm = means_and_derivatives(model.params, pset)
     m = np.maximum(m, 1e-12)
     rng = np.random.default_rng(seed)
-    if sampling == "poisson":
-        draws = rng.poisson(m, size=(n_samples, 16)).astype(float)
-    else:
-        draws = rng.normal(m, np.sqrt(m), size=(n_samples, 16))
-        draws = np.maximum(np.rint(draws), 0.0)
+    draws = rng.poisson(m, size=(n_samples, 16)).astype(float)
     scores = (draws / m - 1.0) @ dm                 # (S, k)
     entries = scores.T @ scores / n_samples
     entries = 0.5 * (entries + entries.T)

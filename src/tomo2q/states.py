@@ -206,36 +206,3 @@ def bures_distance_sq(rho1, rho2):
     """Squared Bures distance d^2 = 2 (1 - F), in [0, 2]."""
     return 2.0 * (1.0 - fidelity(rho1, rho2))
 
-
-def von_neumann_entropy(rho):
-    """Entropy -sum p log2 p of the spectrum, in bits; 0 (pure) to 2 (I/4)."""
-    w = np.clip(np.linalg.eigvalsh(check_density(rho)), 0.0, None)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def concurrence(rho):
-    """Two-qubit concurrence via the spin-flipped state."""
-    rho = check_density(rho)
-    yy = np.kron(SIGMA[2], SIGMA[2])
-    rho_tilde = yy @ rho.conj() @ yy
-    w = np.linalg.eigvals(rho @ rho_tilde)
-    # rho rho_tilde has real nonnegative spectrum up to round-off
-    lam = np.sqrt(np.clip(np.real(w), 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
-
-
-def _binary_entropy(x):
-    out = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            out -= p * np.log2(p)
-    return out
-
-
-def entanglement_of_formation(rho):
-    """Entanglement of formation from the concurrence, in [0, 1]."""
-    c = concurrence(rho)
-    x = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
-    return float(_binary_entropy(x))

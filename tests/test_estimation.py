@@ -12,7 +12,6 @@ from tomo2q.estimation import (
     _starts,
     EstimationResult,
     aic,
-    kl_divergence,
     log_likelihood,
     log_likelihood_gradient,
     maice,
@@ -250,25 +249,6 @@ def test_maice_full_rank_truth(local_set):
     n = rng.poisson(mean_counts(CholeskyModel(4, theta), local_set))
     best, _ = maice(n, local_set)
     assert best.rank == 4
-
-
-def test_kl_divergence_reference_value():
-    m0 = np.ones(16)
-    m1 = np.full(16, np.e)
-    assert kl_divergence(m0, m1) == pytest.approx(16.0 * (np.e - 2.0),
-                                                  rel=1e-12)
-
-
-def test_kl_divergence_properties():
-    rng = np.random.default_rng(29)
-    m0 = rng.uniform(0.5, 5.0, 16)
-    m1 = rng.uniform(0.5, 5.0, 16)
-    assert kl_divergence(m0, m0) == pytest.approx(0.0, abs=1e-12)
-    assert kl_divergence(m0, m1) > 0.0
-    with pytest.raises(InvariantViolation):
-        kl_divergence(np.ones(15), np.ones(15))
-    with pytest.raises(InvariantViolation):
-        kl_divergence(np.zeros(16), np.ones(16))
 
 
 def test_log_likelihood_clamps_zero_means(local_set):

@@ -56,6 +56,11 @@ def test_maice_log_likelihoods_are_nested(sets, seed, rank, set_name, lam):
     lls = [r.log_likelihood for r in table]
     for lo, hi in zip(lls, lls[1:]):
         assert hi >= lo - 1e-9 * max(1.0, abs(lo))
+    # every fit is in the canonical gauge: T has a real, nonnegative
+    # diagonal
+    for r in table:
+        diag = triangular(CholeskyModel(r.rank, r.theta_hat)).diagonal()
+        assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
 
 
 @examples(60)

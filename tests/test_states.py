@@ -8,24 +8,16 @@ from tomo2q.states import (
     bures_distance_sq,
     check_density,
     cholesky_from_density,
-    concurrence,
     density_from_cholesky,
     density_from_pauli,
-    entanglement_of_formation,
     fidelity,
     params_from_triangular,
     pauli_basis,
     pauli_coefficients,
     triangular,
-    von_neumann_entropy,
 )
 
 from conftest import random_model
-
-BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
-BELL_PHI_PLUS[0, 0] = BELL_PHI_PLUS[0, 3] = 0.5
-BELL_PHI_PLUS[3, 0] = BELL_PHI_PLUS[3, 3] = 0.5
-
 
 def test_pauli_basis_orthonormality():
     g = pauli_basis()
@@ -177,31 +169,3 @@ def test_bures_distance_sq_definition_and_range():
     assert 0.0 <= d2 <= 2.0
     assert bures_distance_sq(rho, rho) == pytest.approx(0.0, abs=1e-9)
 
-
-def test_entropy_endpoints():
-    assert von_neumann_entropy(np.eye(4) / 4.0) == pytest.approx(2.0)
-    pure = np.zeros((4, 4), dtype=complex)
-    pure[0, 0] = 1.0
-    assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_concurrence_endpoints():
-    assert concurrence(BELL_PHI_PLUS) == pytest.approx(1.0, abs=1e-10)
-    assert concurrence(np.eye(4) / 4.0) == pytest.approx(0.0, abs=1e-10)
-    prod = np.zeros((4, 4), dtype=complex)
-    prod[1, 1] = 1.0
-    assert concurrence(prod) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_entanglement_of_formation_endpoints():
-    assert entanglement_of_formation(BELL_PHI_PLUS) == pytest.approx(
-        1.0, abs=1e-9)
-    assert entanglement_of_formation(np.eye(4) / 4.0) == pytest.approx(
-        0.0, abs=1e-12)
-
-
-def test_werner_concurrence_threshold():
-    # (1-e) Phi+ + e I/4 is separable iff e >= 2/3
-    for eps, positive in ((0.5, True), (0.7, False)):
-        rho = (1 - eps) * BELL_PHI_PLUS + eps * np.eye(4) / 4.0
-        assert (concurrence(rho) > 1e-12) is positive
