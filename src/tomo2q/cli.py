@@ -67,6 +67,18 @@ def _load_config(path):
     return data
 
 
+def _parse_times(text):
+    """The comma-separated --times list as floats."""
+    times = []
+    for t in text.split(","):
+        try:
+            times.append(float(t))
+        except ValueError:
+            raise TomographyError(
+                f"--times entry {t!r} is not a number") from None
+    return times
+
+
 def _config_from_args(args):
     cfg = _load_config(args.config) if args.config else {}
     for flag, key in (("state", "true_state"), ("rate", "rate"),
@@ -77,7 +89,7 @@ def _config_from_args(args):
         if v is not None:
             cfg[key] = v
     if args.times is not None:
-        cfg["acquisition_times"] = [float(t) for t in args.times.split(",")]
+        cfg["acquisition_times"] = _parse_times(args.times)
     return SimulationConfig(**cfg)
 
 

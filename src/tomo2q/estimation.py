@@ -8,7 +8,10 @@ rank-deficient model that assigns zero mean to a nonzero count then
 scores astronomically badly instead of crashing, and AIC disposes of
 it naturally.
 
-Every rank fit runs the same multistart (see `mle`).  Ranks 2-4 use
+Every rank fit starts from the linear inversion and from `warm`, in
+`maice` the fit of the rank below.  Ranks 1-3 also start from jittered
+copies of the inversion; at rank 4 they cannot change the fit (see
+`_starts`).  Ranks 2-4 use
 damped Newton on the analytic Hessian (Levenberg-Marquardt damping,
 More 1978): it takes a fraction of BFGS's time, and from the same
 starts it almost always ends at the optimum BFGS ends at.  Rank 1 runs
@@ -186,8 +189,15 @@ def _initial_theta(counts, pset, rank):
 
 def _starts(n, pset, rank, warm, restarts):
     """The PSD-clipped linear inversion, `warm` zero-padded to the rank's
-    parameter count, then `restarts` jittered copies of the inversion.
-    The jitter generator is fixed per rank."""
+    parameter count, then, at ranks 1-3, `restarts` jittered copies of
+    the inversion.  The jitter generator is fixed per rank.
+
+    Rank 4 needs no jitter.  The log-likelihood is concave in X = T T*,
+    and near a full-rank T the map from theta to X is invertible, so a
+    stationary point of full rank is the global MLE.  A rank-deficient
+    end point is global iff the KKT conditions hold,
+    G = sum_nu (n/M - 1) P_nu <= 0 and G T = 0; a test checks them on
+    the rank-4 fit of every vector of the test corpus."""
     k = RANK_NPARAMS[rank]
     theta0 = _initial_theta(n, pset, rank)
     scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
@@ -200,7 +210,7 @@ def _starts(n, pset, rank, warm, restarts):
                 f"warm start must have at most {k} entries for rank {rank}")
         starts.append(np.pad(warm, (0, k - len(warm))))
     rng = np.random.default_rng([0, rank])
-    for _ in range(int(restarts)):
+    for _ in range(int(restarts) if rank < 4 else 0):
         starts.append(theta0 * (1.0 + 0.05 * rng.standard_normal(k))
                       + 0.02 * scale * rng.standard_normal(k))
     return starts
@@ -210,8 +220,9 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
     """Maximum-likelihood fit of one rank model.
 
     Fits from the PSD-clipped linear inversion, then from `warm`
-    (zero-padded to the rank's parameter count), then from `restarts`
-    jittered copies of the linear inversion; the best end point wins.
+    (zero-padded to the rank's parameter count), then, at ranks 1-3,
+    from `restarts` jittered copies of the linear inversion; the best
+    end point wins.  `restarts` does nothing at rank 4 (see `_starts`).
     Rank 1 runs the in-package port of scipy's BFGS on the analytic
     score, ranks 2-4 damped Newton on the analytic Hessian (see the
     module docstring for why the ranks differ).  The jitter generator is

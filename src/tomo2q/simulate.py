@@ -11,6 +11,7 @@ and the restart count alone.
 """
 
 import io
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .states import (
 )
 
 _PRESET_EPS = {"mixed": 0.0, "product": 0.05, "bell": 0.05}
-_SWEEP_RESTARTS = 1     # jittered extra starts per rank fit in a sweep
+_SWEEP_RESTARTS = 1     # jittered extra starts per rank 1-3 fit in a sweep
 
 
 def preset_state(name, epsilon=None):
@@ -69,8 +70,9 @@ class SimulationConfig:
     epsilon: float = None
 
     def __post_init__(self):
-        if not isinstance(self.rate, numbers.Real) or not self.rate > 0:
-            raise InvariantViolation("rate must be a positive number")
+        if not (isinstance(self.rate, numbers.Real)
+                and 0 < self.rate < math.inf):
+            raise InvariantViolation("rate must be a positive finite number")
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise InvariantViolation("trials must be a positive integer")
         if self.estimator not in ("mle16", "maice"):
@@ -79,9 +81,11 @@ class SimulationConfig:
             raise InvariantViolation("basis must be local or inseparable")
         times = self.acquisition_times
         if not isinstance(times, (tuple, list)) or not all(
-                isinstance(t, numbers.Real) and t > 0 for t in times):
+                isinstance(t, numbers.Real) and 0 < t < math.inf
+                for t in times):
             raise InvariantViolation(
-                "acquisition times must be a list of positive numbers")
+                "acquisition times must be a list of positive finite "
+                "numbers")
         object.__setattr__(self, "acquisition_times", tuple(times))
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvariantViolation("seed must be a non-negative integer")
@@ -133,7 +137,12 @@ def sample_counts(rho_true, pset, lam, rng):
     if lam <= 0:
         raise InvariantViolation("lambda must be positive")
     means = mean_counts_of_density(rho_true, lam, pset)
-    return rng.poisson(means).astype(np.int64)
+    try:
+        counts = rng.poisson(means)
+    except ValueError as e:
+        raise InvariantViolation(
+            f"cannot draw Poisson counts at lambda={lam:g}: {e}") from None
+    return counts.astype(np.int64)
 
 
 def _state_rank(rho, tol=1e-10):
@@ -170,7 +179,7 @@ def run_sweep(config):
             rng = np.random.default_rng([config.seed, li, ti])
             counts = sample_counts(rho_true, pset, lam, rng)
             if config.estimator == "mle16":
-                res = mle(4, counts, pset, restarts=_SWEEP_RESTARTS)
+                res = mle(4, counts, pset)
             else:
                 res, _ = maice(counts, pset, restarts=_SWEEP_RESTARTS)
             f = fidelity(rho_true, res.rho_hat)

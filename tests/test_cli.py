@@ -105,6 +105,21 @@ def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--times", "1,x"], "--times entry 'x'"),
+    (["--rate", "inf"], "rate"),
+    (["--times", "inf"], "acquisition times"),
+    (["--rate", "1e300", "--times", "0.2"], "lambda=2e+299"),
+], ids=["non-number-time", "infinite-rate", "infinite-time",
+        "lambda-beyond-poisson"])
+def test_simulate_bad_rate_or_times_is_an_error(capsys, flags, names):
+    rc = main(["simulate", "--trials", "1", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert names in err
+
+
 def test_bounds_preset(capsys):
     rc = main(["bounds", "--state", "mixed"])
     out = capsys.readouterr().out

@@ -27,9 +27,11 @@ from tomo2q.states import (
     density_from_cholesky,
     density_from_pauli,
     fidelity,
+    triangular,
 )
 
 from conftest import random_model
+from corpus import corpus
 
 # published count vectors, used here only through ordering-invariant
 # functionals (sums and perfect-fit likelihoods)
@@ -163,15 +165,29 @@ def test_mle_rejects_bad_init(local_set):
         mle(2, n, local_set, warm=np.ones(13))
 
 
+def _jittered_starts(n, pset, rank, count):
+    """The linear-inversion start and `count` copies of it jittered as
+    `_starts` jitters ranks 1-3, at any rank: at ranks 1-3 these are
+    `_starts(n, pset, rank, None, count)`."""
+    theta0 = _starts(n, pset, rank, None, 0)[0]
+    k = len(theta0)
+    scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
+    rng = np.random.default_rng([0, rank])
+    return [theta0] + [theta0 * (1.0 + 0.05 * rng.standard_normal(k))
+                       + 0.02 * scale * rng.standard_normal(k)
+                       for _ in range(count)]
+
+
 def _bfgs_reference(rank, n, pset):
-    """Best scipy-BFGS log-likelihood from the starts `mle` uses."""
+    """Best scipy-BFGS log-likelihood from the linear inversion and four
+    jittered copies, at rank 4 too."""
     n = np.asarray(n, dtype=float)
     lgamma = float(np.sum(gammaln(n + 1.0)))
     q = _rank_q(pset, RANK_NPARAMS[rank])
     return -min(minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
                          jac=True, method="BFGS",
                          options={"gtol": 1e-7, "maxiter": 2000}).fun
-                for x0 in _starts(n, pset, rank, None, 4))
+                for x0 in _jittered_starts(n, pset, rank, 4))
 
 
 @pytest.mark.parametrize("state, log_lam", [("mixed", 4), ("product", 2),
@@ -193,7 +209,7 @@ def test_mle_ranks_2_to_4_reach_the_bfgs_optimum(local_set, insep_set,
 
 def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
     # a positive definite linear inversion is a rank-4 model with M = n,
-    # the saturated MLE; Newton reaches it from the jittered starts too
+    # the saturated MLE; Newton reaches it from jittered starts too
     n = sample_counts(preset_state("mixed"), local_set, 1e4,
                       np.random.default_rng(31))
     phi, _ = linear_tomography(n, local_set)
@@ -206,10 +222,36 @@ def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
     assert misfit(mle(4, n, local_set).theta_hat) < 1e-9
     # Newton stops at |g| <= 1e-9 |logL|, which leaves M - n at ~1e-9 n
     lgamma = float(np.sum(gammaln(n + 1.0)))
-    for x0 in _starts(n, local_set, 4, None, 4)[1:]:
+    for x0 in _jittered_starts(n, local_set, 4, 4)[1:]:
         theta = _newton(x0, n.astype(float), _rank_q(local_set, 16),
                         lgamma)[0]
         assert misfit(theta) < 1e-8
+
+
+def _kkt_residuals(counts, pset, theta):
+    """lambda_max(G) and |G T|_F / |T|_F for the rank-4 model theta, with
+    G = sum_nu (n/M - 1) P_nu the log-likelihood's gradient in X = T T*
+    (n/M taken as 0 where n = 0)."""
+    t = triangular(CholeskyModel(4, theta))
+    m = np.real(np.einsum("nij,ji->n", pset.operators, t @ t.conj().T))
+    n = np.asarray(counts, dtype=float)
+    ratio = np.divide(n, m, out=np.zeros(16), where=n > 0)
+    g = np.einsum("n,nij->ij", ratio - 1.0, pset.operators)
+    return (np.linalg.eigvalsh(g)[-1],
+            np.linalg.norm(g @ t) / np.linalg.norm(t))
+
+
+def test_rank_4_fits_are_certified_global_maxima():
+    # the log-likelihood is concave in X = T T* >= 0, so a rank-4 fit is
+    # the global MLE iff G <= 0 and G T = 0 (KKT conditions,
+    # Boyd-Vandenberghe 5.5); this is why rank 4 needs no jittered starts
+    failed = []
+    for label, pset, counts in corpus():
+        _, table = maice(counts, pset)
+        lmax, resid = _kkt_residuals(counts, pset, table[3].theta_hat)
+        if not (lmax <= 1e-6 and resid <= 1e-6):
+            failed.append((label, lmax, resid))
+    assert not failed
 
 
 def test_newton_stops_at_the_round_off_floor(insep_set):

@@ -80,6 +80,11 @@ def test_simulation_config_validation():
         small_config(basis="bell")
     with pytest.raises(InvariantViolation):
         small_config(acquisition_times=(1.0, -2.0))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvariantViolation):
+            small_config(rate=bad)
+        with pytest.raises(InvariantViolation):
+            small_config(acquisition_times=(1.0, bad))
     with pytest.raises(InvariantViolation):
         small_config(seed=-1)
     with pytest.raises(InvariantViolation):
@@ -115,6 +120,11 @@ def test_sample_counts_poisson_mean(local_set):
     assert draws.dtype == np.int64
     with pytest.raises(InvariantViolation):
         sample_counts(rho, local_set, 0.0, rng)
+    # means beyond numpy's Poisson sampler
+    for lam in (1e300, float("inf")):
+        with pytest.raises(InvariantViolation) as info:
+            sample_counts(rho, local_set, lam, rng)
+        assert f"lambda={lam:g}" in str(info.value)
 
 
 def test_true_model_minimal_rank():
