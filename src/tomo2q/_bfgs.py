@@ -8,6 +8,15 @@ succeeds the port follows scipy bit for bit: from the same start it
 ends at the same point after the same number of iterations and
 objective evaluations.
 
+The port keeps the arithmetic and drops numpy's per-scalar overhead.
+DCSRCH's scalar logic runs on Python floats: the objective value and
+the directional derivative are converted once per evaluation.  DCSTEP
+computes on numpy float64 scalars, as scipy does, because its divisions
+and square roots can meet zeros, where numpy returns inf or nan and
+Python raises.  Python floats and numpy float64 are both IEEE double
+arithmetic with the same rounding, so the same operations in scipy's
+order give scipy's bits.
+
 scipy's fallback search, `line_search_wolfe2` (Nocedal and Wright,
 Numerical Optimization, 1999, algorithms 3.5 and 3.6), is left out.
 When DCSRCH fails the port stops with status 2 at the current point,
@@ -52,6 +61,7 @@ THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -85,13 +95,13 @@ def minimize(fun, x0, args, gtol, maxiter):
     old_fval, gfk = evaluate(x0)
     k = 0
     N = len(x0)
-    I = np.eye(N, dtype=int)
+    I = np.eye(N)
     Hk = I
     # sets the initial step guess to dx ~ 1
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2
     xk = x0
     warnflag = 0
-    gnorm = np.amax(np.abs(gfk))
+    gnorm = np.abs(gfk).max()
     while (gnorm > gtol) and (k < maxiter):
         pk = -np.dot(Hk, gfk)
         ret = _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval,
@@ -108,14 +118,14 @@ def minimize(fun, x0, args, gtol, maxiter):
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
-        gnorm = np.amax(np.abs(gfk))
+        gnorm = np.abs(gfk).max()
         if (gnorm <= gtol):
             break
         # scipy's relative step test, alpha |pk| <= xrtol (xrtol + |xk|),
         # at its default xrtol = 0
-        if alpha_k * _norm2(pk) <= 0 and np.isfinite(_norm2(xk)):
+        if alpha_k * _norm2(pk) <= 0 and math.isfinite(_norm2(xk)):
             break
-        if not np.isfinite(old_fval):
+        if not math.isfinite(old_fval):
             warnflag = 2
             break
 
@@ -125,7 +135,9 @@ def minimize(fun, x0, args, gtol, maxiter):
         else:
             rhok = 1. / rhok_inv
         A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
-        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        # scipy's A2 = I - yk sk' rhok is A1' bit for bit; copied to a
+        # C-ordered array, it makes the same BLAS call as scipy's A2
+        A2 = A1.T.copy()
         Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
                                            sk[np.newaxis, :])
 
@@ -138,7 +150,7 @@ def minimize(fun, x0, args, gtol, maxiter):
 
 
 def _norm2(x):
-    return np.sum(np.abs(x)**2, axis=0)**(1.0 / 2)
+    return math.sqrt((x * x).sum())
 
 
 def _initial_step(phi0, old_phi0, derphi0):
@@ -158,11 +170,12 @@ def _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval, old_old_fval):
 
     def phi_and_derphi(s):
         f, gval[0] = evaluate(xk + s*pk)
-        return f, np.dot(gval[0], pk)
+        return float(f), float(np.dot(gval[0], pk))
 
-    derphi0 = np.dot(gfk, pk)
-    alpha1 = _initial_step(old_fval, old_old_fval, derphi0)
-    ret = _dcsrch(phi_and_derphi, alpha1, old_fval, derphi0)
+    phi0 = float(old_fval)
+    derphi0 = float(np.dot(gfk, pk))
+    alpha1 = _initial_step(phi0, float(old_old_fval), derphi0)
+    ret = _dcsrch(phi_and_derphi, alpha1, phi0, derphi0)
     if ret is None:
         return None
     return ret[0], ret[1], gval[0]
@@ -238,12 +251,12 @@ def _dcsrch(phi_and_derphi, stp, finit, ginit):
             else:
                 stmin = stp + xtrapl * (stp - stx)
                 stmax = stp + xtrapu * (stp - stx)
-            stp = np.clip(stp, stpmin, stpmax)
+            stp = min(max(stp, stpmin), stpmax)
             # no further progress possible: fall back to the best step
             if (brackt and (stp <= stmin or stp >= stmax)
                     or (brackt and stmax - stmin <= xtol * stmax)):
                 stp = stx
-        if not np.isfinite(stp):
+        if not math.isfinite(stp):
             return None
         f, g = phi_and_derphi(stp)
     return None
@@ -251,7 +264,13 @@ def _dcsrch(phi_and_derphi, stp, finit, ginit):
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """MINPACK-2 DCSTEP: a safeguarded cubic or quadratic step, and the
-    updated interval (stx, sty) that brackets a minimizer once brackt."""
+    updated interval (stx, sty) that brackets a minimizer once brackt.
+
+    Computes on numpy float64 scalars, as scipy does: its divisions and
+    square roots can meet zeros and negatives, where numpy returns inf
+    or nan and Python floats raise."""
+    stx, fx, dx, sty, fy, dy, stp, fp, dp = map(
+        np.float64, (stx, fx, dx, sty, fy, dy, stp, fp, dp))
     sgnd = np.sign(dp) * np.sign(dx)
     if fp > fx:
         # higher function value: the minimum is bracketed
@@ -319,7 +338,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
                 stpf = stpc
             else:
                 stpf = stpq
-            stpf = np.clip(stpf, stpmin, stpmax)
+            stpf = min(max(stpf, stpmin), stpmax)
     else:
         # lower value, same sign, the derivative does not decrease
         if brackt:
@@ -344,4 +363,5 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         if sgnd < 0:
             sty, fy, dy = stx, fx, dx
         stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
+    return (float(stx), float(fx), float(dx), float(sty), float(fy),
+            float(dy), float(stpf), brackt)

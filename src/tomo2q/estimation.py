@@ -9,12 +9,14 @@ scores astronomically badly instead of crashing, and AIC disposes of
 it naturally.
 
 Every rank fit starts from the linear inversion and from `warm`, in
-`maice` the fit of the rank below.  Ranks 1-3 also start from jittered
-copies of the inversion; at rank 4 they cannot change the fit (see
-`_starts`).  Ranks 2-4 use
-damped Newton on the analytic Hessian (Levenberg-Marquardt damping,
-More 1978): it takes a fraction of BFGS's time, and from the same
-starts it almost always ends at the optimum BFGS ends at.  Rank 1 runs
+`maice` the fit of the rank below.  `maice` clips the inversion to the
+PSD cone and diagonalizes it once; each rank truncates that
+eigendecomposition to its first start.  Ranks 1-3 also start from
+jittered copies of the inversion; at rank 4 they cannot change the fit
+(see `_starts`).  Ranks 2-4 use damped Newton on the analytic Hessian
+(Levenberg-Marquardt damping, More 1978): it takes a fraction of
+BFGS's time, and from the same starts it almost always ends at the
+optimum BFGS ends at.  Rank 1 runs
 BFGS from `_bfgs`, an in-package port of scipy's BFGS: the rank-1
 landscape has many optima, Newton ends at a different one from about a
 quarter of the starts, and that moves the published rank-1 AIC.  The
@@ -38,7 +40,8 @@ from .projectors import (_check_count_vector, check_counts,
 from .states import (
     CholeskyModel,
     RANK_NPARAMS,
-    cholesky_from_density,
+    _cholesky_from_eigh,
+    check_density,
     density_from_cholesky,
     density_from_pauli,
     params_from_triangular,
@@ -113,7 +116,7 @@ def _negloglik(theta, n, q, lgamma):
 
 def _negloglik_and_grad(theta, n, q, lgamma):
     f, m, qt = _negloglik(theta, n, q, lgamma)
-    return f, -((n / m - 1.0) @ (2.0 * qt))
+    return f, (1.0 - n / m) @ (2.0 * qt)
 
 
 def _newton(theta, n, q, lgamma):
@@ -170,9 +173,10 @@ def _newton(theta, n, q, lgamma):
     return theta, f, iterations
 
 
-def _initial_theta(counts, pset, rank):
-    """Linear inversion, clipped to the PSD cone, rank-truncated."""
-    n = np.asarray(counts, dtype=float)
+def _clipped_inversion(n, pset):
+    """The linear inversion clipped to the PSD cone, as (w, v, lambda):
+    the eigenvalues and eigenvectors of its density matrix, and the
+    count scale.  Every rank's first start truncates it."""
     try:
         phi, lam = linear_tomography(n, pset)
         rho = density_from_pauli(phi)
@@ -184,10 +188,11 @@ def _initial_theta(counts, pset, rank):
     w = np.clip(w, 1e-6, None)
     rho = (v * w) @ v.conj().T
     rho /= np.trace(rho).real
-    return cholesky_from_density(rho, lam, rank).params
+    w, v = np.linalg.eigh(check_density(rho))
+    return w, v, lam
 
 
-def _starts(n, pset, rank, warm, restarts):
+def _starts(n, pset, rank, warm, restarts, inversion=None):
     """The PSD-clipped linear inversion, `warm` zero-padded to the rank's
     parameter count, then, at ranks 1-3, `restarts` jittered copies of
     the inversion.  The jitter generator is fixed per rank.
@@ -197,9 +202,14 @@ def _starts(n, pset, rank, warm, restarts):
     stationary point of full rank is the global MLE.  A rank-deficient
     end point is global iff the KKT conditions hold,
     G = sum_nu (n/M - 1) P_nu <= 0 and G T = 0; a test checks them on
-    the rank-4 fit of every vector of the test corpus."""
+    the rank-4 fit of every vector of the test corpus.
+
+    `inversion` is `_clipped_inversion(n, pset)`, computed here when it
+    is None."""
     k = RANK_NPARAMS[rank]
-    theta0 = _initial_theta(n, pset, rank)
+    if inversion is None:
+        inversion = _clipped_inversion(n, pset)
+    theta0 = _cholesky_from_eigh(*inversion, rank).params
     scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
 
     starts = [theta0]
@@ -216,7 +226,8 @@ def _starts(n, pset, rank, warm, restarts):
     return starts
 
 
-def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
+def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
+        _inversion=None):
     """Maximum-likelihood fit of one rank model.
 
     Fits from the PSD-clipped linear inversion, then from `warm`
@@ -230,6 +241,8 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
     alone.  `counts` may also be expected counts, as for a noiseless
     fit.  `converged` reports whether the score vanishes at the result;
     `iterations` sums the solver's iterations over the starts.
+    `maice` passes its one `_clipped_inversion` of the counts as
+    `_inversion`, so that its four fits share it.
     """
     n = _check_count_vector(counts)
     lgamma = _log_factorials(n)
@@ -237,7 +250,7 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
 
     best_theta, best_f = None, None
     total_iter = 0
-    for x0 in _starts(n, pset, rank, warm, restarts):
+    for x0 in _starts(n, pset, rank, warm, restarts, _inversion):
         if rank == 1:
             res = minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
                            gtol=1e-7, maxiter=2000)
@@ -252,8 +265,11 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS):
     # gauge: make diagonal entries of T nonnegative by column sign flips
     theta = _canonical_gauge(theta, rank)
     model = CholeskyModel(rank=rank, params=theta)
-    ll = log_likelihood(model, n, pset)
-    gnorm = float(np.max(np.abs(log_likelihood_gradient(model, n, pset))))
+    # log_likelihood and log_likelihood_gradient, from one evaluation
+    m, dm = means_and_derivatives(theta, pset)
+    m = np.maximum(m, MEAN_CLAMP)
+    ll = float(np.sum(-m + n * np.log(m)) - lgamma)
+    gnorm = float(np.max(np.abs((n / m - 1.0) @ dm)))
     converged = bool(gnorm <= 1e-6 * max(1.0, abs(ll)))
     return EstimationResult(
         rank=rank,
@@ -284,10 +300,12 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     ordering.  AIC ties resolve toward fewer parameters.
     """
     n = check_counts(counts)
+    inversion = _clipped_inversion(n, pset)
     results = []
     warm = None
     for rank in (1, 2, 3, 4):
-        r = mle(rank, n, pset, warm=warm, restarts=restarts)
+        r = mle(rank, n, pset, warm=warm, restarts=restarts,
+                _inversion=inversion)
         results.append(r)
         warm = r.theta_hat
     best = min(results, key=lambda r: (r.aic, RANK_NPARAMS[r.rank]))

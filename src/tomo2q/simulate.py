@@ -58,6 +58,16 @@ def preset_state(name, epsilon=None):
     return rho
 
 
+# bool is an Integral, so without the bool test a config file's true
+# would pass as the number 1 and false as 0
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     true_state: object = "mixed"        # preset name or CholeskyModel
@@ -70,10 +80,9 @@ class SimulationConfig:
     epsilon: float = None
 
     def __post_init__(self):
-        if not (isinstance(self.rate, numbers.Real)
-                and 0 < self.rate < math.inf):
+        if not (_is_real(self.rate) and 0 < self.rate < math.inf):
             raise InvariantViolation("rate must be a positive finite number")
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+        if not _is_integer(self.trials) or self.trials < 1:
             raise InvariantViolation("trials must be a positive integer")
         if self.estimator not in ("mle16", "maice"):
             raise InvariantViolation("estimator must be mle16 or maice")
@@ -81,16 +90,14 @@ class SimulationConfig:
             raise InvariantViolation("basis must be local or inseparable")
         times = self.acquisition_times
         if not isinstance(times, (tuple, list)) or not all(
-                isinstance(t, numbers.Real) and 0 < t < math.inf
-                for t in times):
+                _is_real(t) and 0 < t < math.inf for t in times):
             raise InvariantViolation(
                 "acquisition times must be a list of positive finite "
                 "numbers")
         object.__setattr__(self, "acquisition_times", tuple(times))
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise InvariantViolation("seed must be a non-negative integer")
-        if not (self.epsilon is None
-                or isinstance(self.epsilon, numbers.Real)):
+        if not (self.epsilon is None or _is_real(self.epsilon)):
             raise InvariantViolation("epsilon must be a number")
 
     def resolve_state(self):

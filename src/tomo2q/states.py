@@ -171,6 +171,12 @@ def cholesky_from_density(rho, lam, rank=4):
     if rank not in RANK_NPARAMS:
         raise InvariantViolation(f"rank must be 1..4, got {rank}")
     w, v = np.linalg.eigh(rho)
+    return _cholesky_from_eigh(w, v, lam, rank)
+
+
+def _cholesky_from_eigh(w, v, lam, rank):
+    """`cholesky_from_density` from the eigenvalues w and eigenvectors v
+    of rho, for a caller that truncates one rho at several ranks."""
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1][:rank]
     a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho

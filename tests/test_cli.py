@@ -93,10 +93,14 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
                                   '{"trials": "two"}', '{"rate": "fast"}',
                                   '{"acquisition_times": 5}',
-                                  '{"true_state": "bell", "epsilon": "x"}'],
+                                  '{"true_state": "bell", "epsilon": "x"}',
+                                  '{"rate": true, "trials": true, '
+                                  '"acquisition_times": [true], '
+                                  '"seed": false}'],
                          ids=["invalid-json", "top-level-list",
                               "string-trials", "string-rate",
-                              "scalar-times", "string-epsilon"])
+                              "scalar-times", "string-epsilon",
+                              "boolean-numbers"])
 def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

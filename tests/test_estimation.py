@@ -241,17 +241,41 @@ def _kkt_residuals(counts, pset, theta):
             np.linalg.norm(g @ t) / np.linalg.norm(t))
 
 
-def test_rank_4_fits_are_certified_global_maxima():
+@pytest.fixture(scope="module")
+def corpus_tables():
+    """(label, pset, counts, maice table) for every corpus vector."""
+    return [(label, pset, counts, maice(counts, pset)[1])
+            for label, pset, counts in corpus()]
+
+
+def test_rank_4_fits_are_certified_global_maxima(corpus_tables):
     # the log-likelihood is concave in X = T T* >= 0, so a rank-4 fit is
     # the global MLE iff G <= 0 and G T = 0 (KKT conditions,
     # Boyd-Vandenberghe 5.5); this is why rank 4 needs no jittered starts
     failed = []
-    for label, pset, counts in corpus():
-        _, table = maice(counts, pset)
+    for label, pset, counts, table in corpus_tables:
         lmax, resid = _kkt_residuals(counts, pset, table[3].theta_hat)
         if not (lmax <= 1e-6 and resid <= 1e-6):
             failed.append((label, lmax, resid))
     assert not failed
+
+
+def test_maice_fits_equal_standalone_fits(corpus_tables):
+    # maice's fits share one linear inversion and take their closing
+    # log-likelihood and score from one evaluation; each must equal the
+    # standalone fit warm-started from the rank below, and the
+    # log-likelihood must equal log_likelihood's
+    for label, pset, counts, table in corpus_tables:
+        warm = None
+        for r in table:
+            alone = mle(r.rank, counts, pset, warm=warm)
+            assert np.array_equal(r.theta_hat, alone.theta_hat), label
+            assert (r.log_likelihood, r.iterations, r.converged) == (
+                alone.log_likelihood, alone.iterations, alone.converged), \
+                label
+            assert r.log_likelihood == log_likelihood(
+                CholeskyModel(r.rank, r.theta_hat), counts, pset), label
+            warm = r.theta_hat
 
 
 def test_newton_stops_at_the_round_off_floor(insep_set):

@@ -5,17 +5,21 @@ same inputs."""
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tomo2q import _bfgs
 from tomo2q.cli import _config_from_args, build_parser
-from tomo2q.estimation import maice
+from tomo2q.estimation import (_log_factorials, _negloglik_and_grad, _rank_q,
+                               _starts, maice)
 from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
-from tomo2q.simulate import SimulationConfig, read_counts
+from tomo2q.simulate import (SimulationConfig, preset_state, read_counts,
+                             sample_counts)
 from tomo2q.states import (
     CholeskyModel,
     RANK_NPARAMS,
@@ -27,6 +31,7 @@ from tomo2q.states import (
 )
 
 from conftest import random_model
+from test_bfgs import _scipy_1_17, _scipy_bfgs
 
 
 def examples(n):
@@ -61,6 +66,35 @@ def test_maice_log_likelihoods_are_nested(sets, seed, rank, set_name, lam):
     for r in table:
         diag = triangular(CholeskyModel(r.rank, r.theta_hat)).diagonal()
         assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
+
+
+@pytest.fixture(scope="module")
+def optimize():
+    return _scipy_1_17()
+
+
+@examples(16)
+@given(seed=seeds, preset=st.sampled_from(["mixed", "product", "bell"]),
+       set_name=set_names, log_lam=st.integers(2, 5))
+def test_bfgs_port_matches_scipy_bit_for_bit(sets, optimize, seed, preset,
+                                             set_name, log_lam):
+    # from every rank-1 start, the port ends where scipy's BFGS ends when
+    # its fallback line search, which the port leaves out, fails
+    pset = sets[set_name]
+    counts = sample_counts(preset_state(preset), pset, 10.0 ** log_lam,
+                           np.random.default_rng(seed))
+    n = counts.astype(float)
+    args = (n, _rank_q(pset, 7), _log_factorials(n))
+    with mock.patch.object(optimize._optimize, "line_search_wolfe2",
+                           lambda *a, **k: (None,) * 6):
+        for x0 in _starts(n, pset, 1, None, 4):
+            ref = _scipy_bfgs(optimize, x0, args)
+            res = _bfgs.minimize(_negloglik_and_grad, x0, args=args,
+                                 gtol=1e-7, maxiter=2000)
+            assert np.array_equal(res.x, ref.x)
+            assert res.fun == ref.fun
+            assert (res.nit, res.nfev, res.status) == (
+                ref.nit, ref.nfev, ref.status)
 
 
 @examples(60)

@@ -89,6 +89,13 @@ def test_simulation_config_validation():
         small_config(seed=-1)
     with pytest.raises(InvariantViolation):
         small_config(seed=1.5)
+    # a config file's true and false are no numbers, although bool is an
+    # Integral
+    for field, bad in (("rate", True), ("trials", True),
+                       ("acquisition_times", (2.0, True)), ("seed", False),
+                       ("epsilon", False)):
+        with pytest.raises(InvariantViolation):
+            small_config(**{field: bad})
 
 
 def test_seeds_beyond_31_bits_draw_their_own_counts():
