@@ -25,12 +25,22 @@ succeeds.  scipy's fallback line search is left out; on 1,034 `maice`
 tables that moved no per-rank log-likelihood by more than 5.8e-11 and
 changed no selected rank or `converged` flag.  The package needs numpy
 only.
+
+Each Newton trial step runs two LAPACK routines: `dpotrf` (Cholesky)
+tests whether the damped Hessian is positive definite, and `dgesv` (LU)
+solves for the step.  Newton calls them through numpy's gufuncs
+`cholesky_lo` and `solve1`, the routines behind `np.linalg.cholesky`
+and `np.linalg.solve`, because those wrappers' per-call checks and
+error-state setup took longer than the factorizations themselves.  Both
+factorizations stay: solving with the Cholesky factor would change the
+step's last bits, and with them the optima the fits reach.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from ._bfgs import minimize
 from .exceptions import InvariantViolation, TomographyError
@@ -119,6 +129,14 @@ def _negloglik_and_grad(theta, n, q, lgamma):
     return f, (1.0 - n / m) @ (2.0 * qt)
 
 
+def _positive_definite(a):
+    """Whether LAPACK's `dpotrf` factors the symmetric matrix `a`, of
+    which it reads the lower triangle.  numpy's `cholesky_lo` fills a
+    failed factor with NaN and raises the invalid flag, so call this
+    under np.errstate(invalid="ignore")."""
+    return not math.isnan(cholesky_lo(a).item(0))
+
+
 def _newton(theta, n, q, lgamma):
     """Levenberg-Marquardt-damped Newton on the analytic Hessian
     H = sum_nu [2(1 - n/M) Q_nu + (n/M^2) dM dM^T].
@@ -132,44 +150,52 @@ def _newton(theta, n, q, lgamma):
     definite, so the Cholesky test runs only until one trial passes it.
     Returns (theta, f, iterations), f the negative log-likelihood and
     iterations the number of kept steps.
+
+    The shift is added to H's diagonal in place.  LAPACK's `dpotrf`
+    tests definiteness (`_positive_definite`) and `dgesv` solves for the
+    step, both through numpy's gufuncs: `np.linalg.cholesky` and
+    `np.linalg.solve` run the same routines, but their wrappers cost
+    more than these 12-16 dimensional factorizations.  The fit runs
+    under one errstate that ignores the invalid flag of a failed
+    factorization.  The Cholesky factor is not reused to solve for the
+    step, because that would change the step's last bits.
     """
     k = len(theta)
     q2 = 2.0 * q.reshape(16, k * k)
-    eye = np.eye(k)
-    f, m, qt = _negloglik(theta, n, q, lgamma)
-    mu = _NEWTON_MU0
-    iterations = 0
-    while iterations < _NEWTON_MAXITER:
-        r = n / m
-        w = 1.0 - r
-        dm = 2.0 * qt
-        g = w @ dm
-        if max(map(abs, g.tolist())) <= _NEWTON_GTOL * max(1.0, abs(f)):
-            break
-        h = (w @ q2).reshape(k, k) + (dm.T * (r / m)) @ dm
-        shift = max(1.0, *map(abs, h.diagonal().tolist()))
-        definite = False
-        while True:
-            a = h + mu * shift * eye
-            if not definite:
-                try:
-                    np.linalg.cholesky(a)
-                    definite = True
-                except np.linalg.LinAlgError:
-                    pass
-            if definite:
-                trial = theta - np.linalg.solve(a, g)
-                f_trial, m_trial, qt_trial = _negloglik(trial, n, q, lgamma)
-                if f_trial < f:
-                    break
-                if f_trial == f:
+    with np.errstate(invalid="ignore"):
+        f, m, qt = _negloglik(theta, n, q, lgamma)
+        mu = _NEWTON_MU0
+        iterations = 0
+        while iterations < _NEWTON_MAXITER:
+            r = n / m
+            w = 1.0 - r
+            dm = 2.0 * qt
+            g = w @ dm
+            if max(map(abs, g.tolist())) <= _NEWTON_GTOL * max(1.0, abs(f)):
+                break
+            a = (w @ q2).reshape(k, k) + (dm.T * (r / m)) @ dm
+            h_diag = a.diagonal().copy()
+            a_diag = a.reshape(k * k)[::k + 1]
+            shift = max(1.0, *map(abs, h_diag.tolist()))
+            definite = False
+            while True:
+                np.add(h_diag, mu * shift, out=a_diag)
+                if not definite:
+                    definite = _positive_definite(a)
+                if definite:
+                    trial = theta - solve1(a, g)
+                    f_trial, m_trial, qt_trial = _negloglik(trial, n, q,
+                                                            lgamma)
+                    if f_trial < f:
+                        break
+                    if f_trial == f:
+                        return theta, f, iterations
+                mu *= 4.0
+                if mu > _NEWTON_MU_MAX:
                     return theta, f, iterations
-            mu *= 4.0
-            if mu > _NEWTON_MU_MAX:
-                return theta, f, iterations
-        theta, f, m, qt = trial, f_trial, m_trial, qt_trial
-        mu = max(mu / 3.0, _NEWTON_MU_MIN)
-        iterations += 1
+            theta, f, m, qt = trial, f_trial, m_trial, qt_trial
+            mu = max(mu / 3.0, _NEWTON_MU_MIN)
+            iterations += 1
     return theta, f, iterations
 
 
@@ -218,6 +244,11 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
         if warm.ndim != 1 or len(warm) > k:
             raise InvariantViolation(
                 f"warm start must have at most {k} entries for rank {rank}")
+        bad = np.flatnonzero(~np.isfinite(warm))
+        if bad.size:
+            i = int(bad[0])
+            raise InvariantViolation(
+                f"warm start must be finite; entry {i} is {float(warm[i])!r}")
         starts.append(np.pad(warm, (0, k - len(warm))))
     rng = np.random.default_rng([0, rank])
     for _ in range(int(restarts) if rank < 4 else 0):
@@ -239,12 +270,17 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     module docstring for why the ranks differ).  The jitter generator is
     fixed per rank, so the fit is a function of (counts, warm, restarts)
     alone.  `counts` may also be expected counts, as for a noiseless
-    fit.  `converged` reports whether the score vanishes at the result;
-    `iterations` sums the solver's iterations over the starts.
+    fit; all-zero counts and a non-finite `warm` raise
+    InvariantViolation.  `converged` reports whether the score vanishes
+    at the result; `iterations` sums the solver's iterations over the
+    starts.
     `maice` passes its one `_clipped_inversion` of the counts as
     `_inversion`, so that its four fits share it.
     """
     n = _check_count_vector(counts)
+    if not n.any():
+        raise InvariantViolation(
+            "all 16 counts are zero; they determine no state")
     lgamma = _log_factorials(n)
     q = _rank_q(pset, RANK_NPARAMS[rank])
 
@@ -297,7 +333,8 @@ def maice(counts, pset, restarts=_N_RESTARTS):
 
     Each rank is additionally warm-started from the best parameters of
     the rank below, which enforces the nested-model likelihood
-    ordering.  AIC ties resolve toward fewer parameters.
+    ordering.  AIC ties resolve toward fewer parameters.  All-zero
+    counts raise InvariantViolation, as in `mle`.
     """
     n = check_counts(counts)
     inversion = _clipped_inversion(n, pset)

@@ -48,6 +48,16 @@ def test_estimate_malformed_counts(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["maice", "mle16"])
+def test_estimate_all_zero_counts_is_an_error(tmp_path, capsys, model):
+    p = tmp_path / "zeros.txt"
+    p.write_text(" ".join(["0"] * 16) + "\n")
+    rc = main(["estimate", "--counts", str(p), "--model", model])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "all 16 counts are zero" in err
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["simulate", "--state", "mixed", "--times", "2",

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from tomo2q.estimation import (
+    _NEWTON_GTOL,
     _NEWTON_MAXITER,
+    _NEWTON_MU0,
+    _NEWTON_MU_MAX,
+    _NEWTON_MU_MIN,
+    _clipped_inversion,
     _log_factorials,
+    _negloglik,
     _negloglik_and_grad,
     _newton,
+    _positive_definite,
     _rank_q,
     _starts,
     EstimationResult,
@@ -43,7 +48,7 @@ AP_COUNTS = np.array([42, 45, 25, 2504, 60, 56, 31, 33,
 
 def _perfect_loglik(n):
     n = np.asarray(n, dtype=float)
-    return float(np.sum(-n + n * np.log(n)) - np.sum(gammaln(n + 1.0)))
+    return float(np.sum(-n + n * np.log(n)) - _log_factorials(n))
 
 
 def test_aic_formula():
@@ -181,8 +186,9 @@ def _jittered_starts(n, pset, rank, count):
 def _bfgs_reference(rank, n, pset):
     """Best scipy-BFGS log-likelihood from the linear inversion and four
     jittered copies, at rank 4 too."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     n = np.asarray(n, dtype=float)
-    lgamma = float(np.sum(gammaln(n + 1.0)))
+    lgamma = _log_factorials(n)
     q = _rank_q(pset, RANK_NPARAMS[rank])
     return -min(minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
                          jac=True, method="BFGS",
@@ -221,7 +227,7 @@ def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
 
     assert misfit(mle(4, n, local_set).theta_hat) < 1e-9
     # Newton stops at |g| <= 1e-9 |logL|, which leaves M - n at ~1e-9 n
-    lgamma = float(np.sum(gammaln(n + 1.0)))
+    lgamma = _log_factorials(n)
     for x0 in _jittered_starts(n, local_set, 4, 4)[1:]:
         theta = _newton(x0, n.astype(float), _rank_q(local_set, 16),
                         lgamma)[0]
@@ -276,6 +282,130 @@ def test_maice_fits_equal_standalone_fits(corpus_tables):
             assert r.log_likelihood == log_likelihood(
                 CholeskyModel(r.rank, r.theta_hat), counts, pset), label
             warm = r.theta_hat
+
+
+def _newton_reference(theta, n, q, lgamma):
+    """`_newton`'s algorithm on numpy.linalg's `cholesky` and
+    `solve`, which raise LinAlgError; also returns how many Cholesky
+    tests failed."""
+    k = len(theta)
+    q2 = 2.0 * q.reshape(16, k * k)
+    eye = np.eye(k)
+    f, m, qt = _negloglik(theta, n, q, lgamma)
+    mu = _NEWTON_MU0
+    iterations = failures = 0
+    while iterations < _NEWTON_MAXITER:
+        r = n / m
+        w = 1.0 - r
+        dm = 2.0 * qt
+        g = w @ dm
+        if max(map(abs, g.tolist())) <= _NEWTON_GTOL * max(1.0, abs(f)):
+            break
+        h = (w @ q2).reshape(k, k) + (dm.T * (r / m)) @ dm
+        shift = max(1.0, *map(abs, h.diagonal().tolist()))
+        definite = False
+        while True:
+            a = h + mu * shift * eye
+            if not definite:
+                try:
+                    np.linalg.cholesky(a)
+                    definite = True
+                except np.linalg.LinAlgError:
+                    failures += 1
+            if definite:
+                trial = theta - np.linalg.solve(a, g)
+                f_trial, m_trial, qt_trial = _negloglik(trial, n, q, lgamma)
+                if f_trial < f:
+                    break
+                if f_trial == f:
+                    return theta, f, iterations, failures
+            mu *= 4.0
+            if mu > _NEWTON_MU_MAX:
+                return theta, f, iterations, failures
+        theta, f, m, qt = trial, f_trial, m_trial, qt_trial
+        mu = max(mu / 3.0, _NEWTON_MU_MIN)
+        iterations += 1
+    return theta, f, iterations, failures
+
+
+def test_newton_matches_the_numpy_linalg_reference(corpus_tables):
+    # from every start of maice's ranks 2-4 on the corpus, the gufunc
+    # kernel takes the reference's steps bit for bit, through Cholesky
+    # tests that fail as well as ones that pass
+    failures = 0
+    for label, pset, counts, table in corpus_tables:
+        n = counts.astype(float)
+        lgamma = _log_factorials(n)
+        inversion = _clipped_inversion(n, pset)
+        for rank in (2, 3, 4):
+            q = _rank_q(pset, RANK_NPARAMS[rank])
+            warm = table[rank - 2].theta_hat
+            for x0 in _starts(n, pset, rank, warm, 4, inversion):
+                theta, f, steps = _newton(x0, n, q, lgamma)
+                ref = _newton_reference(x0, n, q, lgamma)
+                assert theta.tobytes() == ref[0].tobytes(), (label, rank)
+                assert (f, steps) == ref[1:3], (label, rank)
+                failures += ref[3]
+    assert failures > 0
+
+
+def _pivot_cases(k):
+    """Symmetric k x k matrices: positive definite, indefinite with the
+    first or the last pivot negative, and singular positive
+    semidefinite."""
+    rng = np.random.default_rng([41, k])
+    b = rng.standard_normal((k, k))
+    spd = b @ b.T + np.eye(k)
+    first = spd.copy()
+    first[0, 0] = -1e-3
+    # the last pivot is the Schur complement a_kk - c' A^-1 c
+    last = spd.copy()
+    c = spd[-1, :-1]
+    last[-1, -1] = c @ np.linalg.solve(spd[:-1, :-1], c) - 1e-3
+    u = rng.standard_normal((k, k - 3))
+    zero_last = np.diag(np.r_[np.ones(k - 1), 0.0])
+    return {"spd": spd, "first": first, "last": last,
+            "rank-deficient": u @ u.T, "zero-last": zero_last,
+            "zero": np.zeros((k, k))}
+
+
+@pytest.mark.parametrize("k", [12, 15, 16])
+def test_positive_definite_agrees_with_numpy_cholesky(k):
+    outcomes = {}
+    for name, a in _pivot_cases(k).items():
+        try:
+            np.linalg.cholesky(a)
+            expected = True
+        except np.linalg.LinAlgError:
+            expected = False
+        with np.errstate(invalid="ignore"):
+            assert _positive_definite(a) is expected, name
+        outcomes[name] = expected
+    assert outcomes["spd"] and not outcomes["first"]
+    assert not (outcomes["last"] or outcomes["zero-last"] or outcomes["zero"])
+
+
+def test_fits_reject_all_zero_counts(local_set):
+    zeros = np.zeros(16, dtype=np.int64)
+    with pytest.raises(InvariantViolation, match="all 16 counts are zero"):
+        maice(zeros, local_set)
+    for rank in (1, 2, 3, 4):
+        with pytest.raises(InvariantViolation,
+                           match="all 16 counts are zero"):
+            mle(rank, zeros, local_set)
+    # zero expected counts are still a valid argument of log_likelihood
+    m = random_model(2, np.random.default_rng(40), lam=50.0)
+    assert log_likelihood(m, zeros, local_set) == pytest.approx(
+        -mean_counts(m, local_set).sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mle_rejects_non_finite_warm(local_set, bad):
+    warm = np.ones(7)
+    warm[[3, 5]] = bad
+    with pytest.raises(InvariantViolation,
+                       match=f"warm start must be finite; entry 3 is {bad}"):
+        mle(2, VN_COUNTS, local_set, warm=warm)
 
 
 def test_newton_stops_at_the_round_off_floor(insep_set):
