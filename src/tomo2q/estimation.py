@@ -59,6 +59,11 @@ from .states import (
 )
 
 MEAN_CLAMP = 1e-12
+# per unit of total count: how far the rank 1-3 likelihood bound must
+# trail a rank-4 fit before `_rank4_bar` lets the fit stand for MAICE's
+# pick; orders of magnitude above a log-likelihood's round-off and the
+# effect of MEAN_CLAMP
+_BOUND_MARGIN = 1e-6
 _N_RESTARTS = 4
 # damped Newton (ranks 2-4): initial, smallest and largest damping, the
 # gradient tolerance relative to max(1, |logL|), and the iteration cap
@@ -236,7 +241,6 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
     if inversion is None:
         inversion = _clipped_inversion(n, pset)
     theta0 = _cholesky_from_eigh(*inversion, rank).params
-    scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
 
     starts = [theta0]
     if warm is not None:
@@ -249,11 +253,16 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
             i = int(bad[0])
             raise InvariantViolation(
                 f"warm start must be finite; entry {i} is {float(warm[i])!r}")
-        starts.append(np.pad(warm, (0, k - len(warm))))
-    rng = np.random.default_rng([0, rank])
-    for _ in range(int(restarts) if rank < 4 else 0):
-        starts.append(theta0 * (1.0 + 0.05 * rng.standard_normal(k))
-                      + 0.02 * scale * rng.standard_normal(k))
+        padded = np.zeros(k)
+        padded[:len(warm)] = warm
+        starts.append(padded)
+    jittered = int(restarts) if rank < 4 else 0
+    if jittered:
+        scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
+        rng = np.random.default_rng([0, rank])
+        for _ in range(jittered):
+            starts.append(theta0 * (1.0 + 0.05 * rng.standard_normal(k))
+                          + 0.02 * scale * rng.standard_normal(k))
     return starts
 
 
@@ -348,3 +357,86 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     best = min(results, key=lambda r: (r.aic, RANK_NPARAMS[r.rank]))
     return best, tuple(results)
 
+
+def _lower_rank_bounds(n, pset):
+    """Upper bounds on the rank-1, 2 and 3 log-likelihoods of the counts
+    n, as (ll_sat, (ub_1, ub_2, ub_3)) with ll_sat the saturated
+    log-likelihood (every mean equal to its count).  None unless the set
+    is complete and all 16 counts are positive.
+
+    Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
+    ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
+    - If some M_nu > c n_nu, h increasing above 1 gives a loss of at
+      least n_min h(c).
+    - Otherwise every x = M_nu / n_nu is at most c, where
+      h(x) >= (x - 1)^2 / (2c): the difference vanishes with its
+      derivative (x - 1)(1/x - 1/c) at x = 1, falls before 1 and rises
+      after.  So the loss is at least sum (M - n)^2 / (2cn).  The means
+      of X = sum_mu x_mu Gamma_mu are M = B x, and the counts are
+      n = B x_n, so with s the smallest singular value of
+      diag(n)^(-1/2) B, sum (M - n)^2 / n >= s^2 |x - x_n|^2
+      = 4 s^2 |X - X_n|_F^2, as Tr[Gamma_mu Gamma_nu] = delta / 4.
+      A rank-r model's X = T T* is PSD of rank at most r, so
+      |X - X_n|_F >= d_r, the distance from the unnormalized inversion
+      X_n to that set.  With X_n's eigenvalues mu_1 >= ... >= mu_4,
+      d_r^2 = sum_{i<=r} min(mu_i, 0)^2 + sum_{i>r} mu_i^2: Mirsky's
+      inequality bounds |X - X_n|_F^2 below by the distance between the
+      sorted spectra, and the nearest spectrum of a PSD matrix of rank
+      at most r keeps max(mu_i, 0) for i <= r and zeros the rest
+      (Eckart-Young).  The loss is then at least 2 s^2 d_r^2 / c.
+    Every rank-r model therefore loses at least
+    max_c min(n_min h(c), 2 s^2 d_r^2 / c), and so does every rank-r
+    fit, whether or not it reached the rank's maximum.
+    """
+    if not pset.complete or not n.min() > 0.0:
+        return None
+    ll_sat = float(np.sum(n * np.log(n) - n)) - _log_factorials(n)
+    mu = np.linalg.eigvalsh(
+        density_from_pauli(np.linalg.solve(pset.b, n))).tolist()[::-1]
+    s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False)[-1]
+    n_min = float(n.min())
+    bounds = []
+    for r in (1, 2, 3):
+        d2 = (sum(min(m, 0.0) ** 2 for m in mu[:r])
+              + sum(m * m for m in mu[r:]))
+        bounds.append(ll_sat - _loss_bound(n_min, 2.0 * s * s * d2))
+    return ll_sat, tuple(bounds)
+
+
+def _loss_bound(n_min, a):
+    """max over c > 1 of min(n_min h(c), a / c), to within 0.1% of c.
+    The first term rises with c and the second falls, so bisection
+    brackets their crossing; every c gives a valid lower bound."""
+    def h(c):
+        return c - 1.0 - math.log(c)
+    lo, hi = 1.0, 2.0
+    while n_min * h(hi) < a / hi:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-3 * lo:
+        mid = 0.5 * (lo + hi)
+        if n_min * h(mid) < a / mid:
+            lo = mid
+        else:
+            hi = mid
+    return max(n_min * h(lo), a / hi)
+
+
+def _rank4_bar(counts, pset):
+    """The rank-4 log-likelihood above which a rank-4 fit has a lower
+    AIC than every rank 1-3 fit of `counts` can have, by the bounds of
+    `_lower_rank_bounds`; None where no rank-4 fit can clear it, since
+    none exceeds the saturated log-likelihood, or where the bounds do
+    not apply (a zero count, an incomplete set).  The bar keeps a
+    margin of _BOUND_MARGIN per count, so a rank-4 fit above it wins
+    MAICE's comparison strictly, and ties to fewer parameters cannot
+    arise."""
+    n = np.asarray(counts, dtype=float)
+    bounds = _lower_rank_bounds(n, pset)
+    if bounds is None:
+        return None
+    ll_sat, upper = bounds
+    k4 = RANK_NPARAMS[4]
+    bar = (max(ub + (k4 - RANK_NPARAMS[r]) for r, ub in
+               zip((1, 2, 3), upper))
+           + _BOUND_MARGIN * (1.0 + float(n.sum())))
+    return bar if bar < ll_sat else None

@@ -68,6 +68,17 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_simulate_all_zero_trial_names_its_lambda_and_trial(capsys):
+    # at lambda 0.5 trial 1 draws 16 zero counts, which fit no state
+    rc = main(["simulate", "--state", "mixed", "--rate", "1", "--times",
+               "0.5", "--trials", "20", "--seed", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "lambda=0.5, trial 1:" in err[0]
+    assert "all 16 counts are zero" in err[0]
+
+
 def test_simulate_without_out_writes_csv_to_stdout(capsys):
     rc = main(["simulate", "--state", "mixed", "--times", "2",
                "--trials", "3", "--seed", "5"])

@@ -9,10 +9,12 @@ from tomo2q.estimation import (
     _NEWTON_MU_MIN,
     _clipped_inversion,
     _log_factorials,
+    _lower_rank_bounds,
     _negloglik,
     _negloglik_and_grad,
     _newton,
     _positive_definite,
+    _rank4_bar,
     _rank_q,
     _starts,
     EstimationResult,
@@ -282,6 +284,36 @@ def test_maice_fits_equal_standalone_fits(corpus_tables):
             assert r.log_likelihood == log_likelihood(
                 CholeskyModel(r.rank, r.theta_hat), counts, pset), label
             warm = r.theta_hat
+
+
+def test_lower_rank_bounds_hold_on_every_corpus_fit(corpus_tables):
+    # no rank 1-3 fit, and no rank-4 fit above the saturated
+    # log-likelihood, breaks the bounds that let a sweep skip ranks 1-3
+    checked = 0
+    for label, pset, counts, table in corpus_tables:
+        bounds = _lower_rank_bounds(counts.astype(float), pset)
+        if bounds is None:
+            assert counts.min() == 0, label
+            continue
+        ll_sat, upper = bounds
+        for r, ub in zip(table[:3], upper):
+            assert r.log_likelihood <= ub, (label, r.rank)
+        assert table[3].log_likelihood <= ll_sat + 1e-9, label
+        checked += 1
+    assert checked >= 100
+
+
+def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
+    # the rank-4 fit clears the bar on every mixed-state vector at
+    # lambda >= 1e3, where maice selects rank 4; no bell or product
+    # vector (near-pure truth, boundary regime) has a bar a fit can clear
+    for label, pset, counts, table in corpus_tables:
+        bar = _rank4_bar(counts, pset)
+        if label.startswith("mixed/") and "/1e2/" not in label:
+            assert bar is not None and table[3].log_likelihood > bar, label
+            assert min(table, key=lambda r: r.aic).rank == 4, label
+        elif not label.startswith("mixed/"):
+            assert bar is None, label
 
 
 def _newton_reference(theta, n, q, lgamma):

@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tomo2q import _bfgs
 from tomo2q.cli import _config_from_args, build_parser
-from tomo2q.estimation import (_log_factorials, _negloglik_and_grad, _rank_q,
-                               _starts, maice)
+from tomo2q.estimation import (_log_factorials, _loss_bound,
+                               _lower_rank_bounds, _negloglik_and_grad,
+                               _rank_q, _starts, log_likelihood, maice)
 from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
@@ -66,6 +67,44 @@ def test_maice_log_likelihoods_are_nested(sets, seed, rank, set_name, lam):
     for r in table:
         diag = triangular(CholeskyModel(r.rank, r.theta_hat)).diagonal()
         assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
+
+
+@examples(60)
+@given(seed=seeds, true_rank=ranks, rank=st.integers(1, 3),
+       set_name=set_names, lam=st.sampled_from([1e2, 1e3, 1e4, 1e5]))
+def test_lower_rank_bounds_hold_for_every_model(sets, seed, true_rank, rank,
+                                                set_name, lam):
+    # the bound caps the log-likelihood of every rank-r model, not only
+    # of fitted ones: here a random model and the inversion truncated to
+    # rank r, at the counts' scale
+    pset = sets[set_name]
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(mean_counts(random_model(true_rank, rng, lam),
+                                     pset))
+    bounds = _lower_rank_bounds(counts.astype(float), pset)
+    assume(bounds is not None)
+    ll_sat, upper = bounds
+    n = counts.astype(float)
+    for theta in (random_model(rank, rng, n.sum() / 4.0).params,
+                  _starts(n, pset, rank, None, 0)[0]):
+        ll = log_likelihood(CholeskyModel(rank, theta), counts, pset)
+        assert ll <= upper[rank - 1] <= ll_sat
+
+
+@examples(100)
+@given(counts=st.lists(st.integers(1, 10**4), min_size=16, max_size=16),
+       log_ratios=st.lists(st.floats(-5.0, 5.0), min_size=16, max_size=16))
+def test_loss_bound_holds_for_any_means(counts, log_ratios):
+    # the lemma under _lower_rank_bounds: any means M lose
+    # sum n h(M/n) >= max_c min(n_min h(c), sum (M - n)^2 / (2 c n)),
+    # also where some M is far above its count and the loss grows only
+    # linearly in M
+    n = np.array(counts, dtype=float)
+    m = n * np.exp(log_ratios)
+    loss = float(np.sum(m - n - n * np.log(m / n)))
+    quadratic = float(np.sum((m - n) ** 2 / n))
+    tolerance = 1e-9 * loss + 1e-12 * n.sum()     # round-off of the loss
+    assert loss >= _loss_bound(n.min(), quadratic / 2.0) - tolerance
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tomo2q.estimation import maice
+from tomo2q.estimation import _rank4_bar, maice
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -191,30 +191,52 @@ def test_run_sweep_trial_order_independence():
 
 
 def test_sweep_trial_fit_is_the_standalone_fit():
-    # a sweep's estimate depends on the trial's counts alone
+    # a sweep's estimate is maice's pick for the trial's counts; most
+    # mixed-state trials at lambda 1e3 and 1e4 fit rank 4 alone, because
+    # its log-likelihood clears the bar that ranks 1-3 cannot reach, and
+    # no bell-state trial does
     pset = local_projector_set()
-    res = run_sweep(small_config(true_state="bell",
-                                 acquisition_times=(0.2, 2.0)))
-    for recs in res.records:
-        for rec in recs:
-            alone, _ = maice(rec.counts, pset, restarts=1)
-            assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
-            assert rec.result.log_likelihood == alone.log_likelihood
+    for state, times in (("bell", (0.2, 2.0)), ("mixed", (2.0, 20.0))):
+        res = run_sweep(small_config(true_state=state,
+                                     acquisition_times=times))
+        pruned = 0
+        for recs in res.records:
+            for rec in recs:
+                alone, _ = maice(rec.counts, pset, restarts=1)
+                assert rec.result.rank == alone.rank
+                assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
+                assert rec.result.log_likelihood == alone.log_likelihood
+                bar = _rank4_bar(rec.counts, pset)
+                pruned += bar is not None and rec.result.log_likelihood > bar
+        if state == "bell":
+            assert pruned == 0
+        else:
+            assert pruned > len(times) * 6 // 2
 
 
 def test_run_sweep_failure_rate_guard(monkeypatch):
+    # a mixed-state trial at lambda 1e3 mostly fits rank 4 alone through
+    # mle, a bell-state trial goes through maice; either path's
+    # non-converged estimates must reach the guard
     import tomo2q.simulate as sim
 
-    real_maice = sim.maice
+    real_maice, real_mle = sim.maice, sim.mle
 
-    def mostly_failing(counts, pset, restarts=1):
+    def failing_maice(counts, pset, restarts=1):
         best, table = real_maice(counts, pset, restarts=restarts)
         bad = dataclasses.replace(best, converged=False)
         return bad, table
 
-    monkeypatch.setattr(sim, "maice", mostly_failing)
-    with pytest.raises(InvariantViolation, match="failed to converge"):
-        run_sweep(small_config(trials=4))
+    def failing_mle(*args, **kwargs):
+        return dataclasses.replace(real_mle(*args, **kwargs),
+                                   converged=False)
+
+    monkeypatch.setattr(sim, "maice", failing_maice)
+    monkeypatch.setattr(sim, "mle", failing_mle)
+    for state in ("mixed", "bell"):
+        with pytest.raises(InvariantViolation,
+                           match="failed to converge at lambda=1000"):
+            run_sweep(small_config(true_state=state, trials=4))
 
 
 def test_emit_results_header_and_format(tmp_path):
