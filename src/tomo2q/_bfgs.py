@@ -21,11 +21,9 @@ scipy's fallback search, `line_search_wolfe2` (Nocedal and Wright,
 Numerical Optimization, 1999, algorithms 3.5 and 3.6), is left out.
 When DCSRCH fails the port stops with status 2 at the current point,
 which is where scipy ends whenever its fallback fails as well.  The
-fallback runs in about half of all rank-1 runs, but it does not change
-the fit `mle` returns: on 1,034 `maice` tables (the 120-vector test
-corpus, the published c01/c02 tables, 720 boundary-regime pool vectors
-and 192 further random draws) the per-rank log-likelihoods moved by at
-most 5.8e-11, and no selected rank or `converged` flag changed.  Other
+fallback runs in many rank-1 runs, but it does not change the fit `mle`
+returns beyond round-off in the log-likelihood, and no selected rank or
+`converged` flag depends on it.  Other
 options the rank-1 fit does not use (callbacks, finite differences,
 `xrtol`, a custom initial inverse Hessian, `c1`/`c2`) are left out too.
 

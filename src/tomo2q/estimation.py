@@ -18,13 +18,12 @@ jittered copies of the inversion; at rank 4 they cannot change the fit
 BFGS's time, and from the same starts it almost always ends at the
 optimum BFGS ends at.  Rank 1 runs
 BFGS from `_bfgs`, an in-package port of scipy's BFGS: the rank-1
-landscape has many optima, Newton ends at a different one from about a
-quarter of the starts, and that moves the published rank-1 AIC.  The
-port follows scipy bit for bit wherever its More-Thuente line search
-succeeds.  scipy's fallback line search is left out; on 1,034 `maice`
-tables that moved no per-rank log-likelihood by more than 5.8e-11 and
-changed no selected rank or `converged` flag.  The package needs numpy
-only.
+landscape has many optima, Newton ends at a different one from many of
+the starts, and that moves the published rank-1 AIC.  The port follows
+scipy bit for bit wherever its More-Thuente line search succeeds.
+scipy's fallback line search is left out: where it would rescue a step,
+the fit's log-likelihood moves only at round-off, and no selected rank
+or `converged` flag depends on it.  The package needs numpy only.
 
 Each Newton trial step runs two LAPACK routines: `dpotrf` (Cholesky)
 tests whether the damped Hessian is positive definite, and `dgesv` (LU)
@@ -37,6 +36,7 @@ step's last bits, and with them the optima the fits reach.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +54,11 @@ from .states import (
     check_density,
     density_from_cholesky,
     density_from_pauli,
-    params_from_triangular,
-    triangular,
 )
 
 MEAN_CLAMP = 1e-12
 # per unit of total count: how far the rank 1-3 likelihood bound must
-# trail a rank-4 fit before `_rank4_bar` lets the fit stand for MAICE's
+# trail a rank-4 fit before `_rank4_wins` lets the fit stand for MAICE's
 # pick; orders of magnitude above a log-likelihood's round-off and the
 # effect of MEAN_CLAMP
 _BOUND_MARGIN = 1e-6
@@ -115,15 +113,9 @@ def log_likelihood_gradient(model, counts, pset):
     return (n / np.maximum(m, MEAN_CLAMP) - 1.0) @ dm
 
 
-def _rank_q(pset, k):
-    """The rank's quadratic forms as one contiguous (16 k, k) block, so
-    that theta' Q_nu for every nu is one matrix-vector product."""
-    return np.ascontiguousarray(pset.q[:, :k, :k]).reshape(16 * k, k)
-
-
 def _negloglik(theta, n, q, lgamma):
     """Negative log-likelihood, the clamped means M and the rows
-    theta' Q_nu (half of dM/dtheta), q from `_rank_q`."""
+    theta' Q_nu (half of dM/dtheta), q the rank's block `pset.q[k]`."""
     qt = (q @ theta).reshape(16, len(theta))
     m = np.maximum(qt @ theta, MEAN_CLAMP)
     return lgamma - (n * np.log(m) - m).sum(), m, qt
@@ -256,7 +248,7 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
         padded = np.zeros(k)
         padded[:len(warm)] = warm
         starts.append(padded)
-    jittered = int(restarts) if rank < 4 else 0
+    jittered = restarts if rank < 4 else 0
     if jittered:
         scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
         rng = np.random.default_rng([0, rank])
@@ -280,18 +272,23 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     fixed per rank, so the fit is a function of (counts, warm, restarts)
     alone.  `counts` may also be expected counts, as for a noiseless
     fit; all-zero counts and a non-finite `warm` raise
-    InvariantViolation.  `converged` reports whether the score vanishes
-    at the result; `iterations` sums the solver's iterations over the
-    starts.
+    InvariantViolation, as do a `rank` other than an integer from 1 to 4
+    and a `restarts` other than a non-negative integer.  `converged`
+    reports whether the score vanishes at the result; `iterations` sums
+    the solver's iterations over the starts.
     `maice` passes its one `_clipped_inversion` of the counts as
     `_inversion`, so that its four fits share it.
     """
+    if not _is_integer(rank) or rank not in RANK_NPARAMS:
+        raise InvariantViolation(
+            f"rank must be an integer from 1 to 4, got {rank!r}")
+    _check_restarts(restarts)
     n = _check_count_vector(counts)
     if not n.any():
         raise InvariantViolation(
             "all 16 counts are zero; they determine no state")
     lgamma = _log_factorials(n)
-    q = _rank_q(pset, RANK_NPARAMS[rank])
+    q = pset.q[RANK_NPARAMS[rank]]
 
     best_theta, best_f = None, None
     total_iter = 0
@@ -306,16 +303,11 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
         if best_theta is None or f < best_f:
             best_theta, best_f = x, f
 
-    theta = np.asarray(best_theta, dtype=float)
-    # gauge: make diagonal entries of T nonnegative by column sign flips
-    theta = _canonical_gauge(theta, rank)
+    theta = _canonical_gauge(best_theta, rank)
     model = CholeskyModel(rank=rank, params=theta)
-    # log_likelihood and log_likelihood_gradient, from one evaluation
-    m, dm = means_and_derivatives(theta, pset)
-    m = np.maximum(m, MEAN_CLAMP)
-    ll = float(np.sum(-m + n * np.log(m)) - lgamma)
-    gnorm = float(np.max(np.abs((n / m - 1.0) @ dm)))
-    converged = bool(gnorm <= 1e-6 * max(1.0, abs(ll)))
+    f, g = _negloglik_and_grad(theta, n, q, lgamma)
+    ll = -float(f)
+    converged = max(map(abs, g.tolist())) <= 1e-6 * max(1.0, abs(ll))
     return EstimationResult(
         rank=rank,
         theta_hat=theta,
@@ -329,11 +321,27 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
 
 
 def _canonical_gauge(theta, rank):
-    t4 = triangular(CholeskyModel(rank=rank, params=np.asarray(theta, float)))
-    for j in range(rank):
-        if t4[j, j].real < 0:
-            t4[:, j] = -t4[:, j]
-    return params_from_triangular(t4, rank)
+    """A copy of theta with each column of T whose diagonal entry (the
+    column's first parameter; columns start at offsets 0, 7, 12, 15) is
+    negative negated; Q is block-diagonal by column, so no mean moves."""
+    theta = np.array(theta, dtype=float)
+    starts = (0, *RANK_NPARAMS.values())
+    for lo, hi in zip(starts[:rank], starts[1:]):
+        if theta[lo] < 0:
+            theta[lo:hi] = -theta[lo:hi]
+    return theta
+
+
+# bool is an Integral, so without the bool test True would pass as the
+# number 1 and False as 0
+def _is_integer(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_restarts(restarts):
+    if not _is_integer(restarts) or restarts < 0:
+        raise InvariantViolation(
+            f"restarts must be a non-negative integer, got {restarts!r}")
 
 
 def maice(counts, pset, restarts=_N_RESTARTS):
@@ -343,8 +351,9 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     Each rank is additionally warm-started from the best parameters of
     the rank below, which enforces the nested-model likelihood
     ordering.  AIC ties resolve toward fewer parameters.  All-zero
-    counts raise InvariantViolation, as in `mle`.
+    counts and a bad `restarts` raise InvariantViolation, as in `mle`.
     """
+    _check_restarts(restarts)
     n = check_counts(counts)
     inversion = _clipped_inversion(n, pset)
     results = []
@@ -359,10 +368,11 @@ def maice(counts, pset, restarts=_N_RESTARTS):
 
 
 def _lower_rank_bounds(n, pset):
-    """Upper bounds on the rank-1, 2 and 3 log-likelihoods of the counts
-    n, as (ll_sat, (ub_1, ub_2, ub_3)) with ll_sat the saturated
-    log-likelihood (every mean equal to its count).  None unless the set
-    is complete and all 16 counts are positive.
+    """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for the counts n, ll_sat
+    the saturated log-likelihood (every mean equal to its count): every
+    rank-r model, r = 1, 2, 3, falls short of ll_sat by at least
+    max_c min(n_min h(c), a_r / c).  None unless the set is complete and
+    all 16 counts are positive.
 
     Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
     ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
@@ -383,60 +393,43 @@ def _lower_rank_bounds(n, pset):
       inequality bounds |X - X_n|_F^2 below by the distance between the
       sorted spectra, and the nearest spectrum of a PSD matrix of rank
       at most r keeps max(mu_i, 0) for i <= r and zeros the rest
-      (Eckart-Young).  The loss is then at least 2 s^2 d_r^2 / c.
+      (Eckart-Young).  The loss is then at least a_r / c with
+      a_r = 2 s^2 d_r^2.
     Every rank-r model therefore loses at least
-    max_c min(n_min h(c), 2 s^2 d_r^2 / c), and so does every rank-r
-    fit, whether or not it reached the rank's maximum.
+    max_c min(n_min h(c), a_r / c), and so does every rank-r fit,
+    whether or not it reached the rank's maximum.
     """
     if not pset.complete or not n.min() > 0.0:
         return None
     ll_sat = float(np.sum(n * np.log(n) - n)) - _log_factorials(n)
     mu = np.linalg.eigvalsh(
         density_from_pauli(np.linalg.solve(pset.b, n))).tolist()[::-1]
-    s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False)[-1]
-    n_min = float(n.min())
-    bounds = []
-    for r in (1, 2, 3):
-        d2 = (sum(min(m, 0.0) ** 2 for m in mu[:r])
-              + sum(m * m for m in mu[r:]))
-        bounds.append(ll_sat - _loss_bound(n_min, 2.0 * s * s * d2))
-    return ll_sat, tuple(bounds)
+    s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False).item(-1)
+    a = tuple(2.0 * s * s * (sum(min(m, 0.0) ** 2 for m in mu[:r])
+                             + sum(m * m for m in mu[r:]))
+              for r in (1, 2, 3))
+    return ll_sat, float(n.min()), float(n.sum()), a
 
 
-def _loss_bound(n_min, a):
-    """max over c > 1 of min(n_min h(c), a / c), to within 0.1% of c.
-    The first term rises with c and the second falls, so bisection
-    brackets their crossing; every c gives a valid lower bound."""
-    def h(c):
-        return c - 1.0 - math.log(c)
-    lo, hi = 1.0, 2.0
-    while n_min * h(hi) < a / hi:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-3 * lo:
-        mid = 0.5 * (lo + hi)
-        if n_min * h(mid) < a / mid:
-            lo = mid
-        else:
-            hi = mid
-    return max(n_min * h(lo), a / hi)
+def _loss_exceeds(n_min, a, loss):
+    """Whether max over c > 1 of min(n_min h(c), a / c) exceeds
+    loss > 0, with h(c) = c - 1 - ln c.  a / c > loss holds exactly for
+    c < a / loss, and h increases above 1, so some c > 1 has both terms
+    above loss exactly when c = a / loss > 1 and n_min h(c) > loss."""
+    c = a / loss
+    return c > 1.0 and n_min * (c - 1.0 - math.log(c)) > loss
 
 
-def _rank4_bar(counts, pset):
-    """The rank-4 log-likelihood above which a rank-4 fit has a lower
-    AIC than every rank 1-3 fit of `counts` can have, by the bounds of
-    `_lower_rank_bounds`; None where no rank-4 fit can clear it, since
-    none exceeds the saturated log-likelihood, or where the bounds do
-    not apply (a zero count, an incomplete set).  The bar keeps a
-    margin of _BOUND_MARGIN per count, so a rank-4 fit above it wins
-    MAICE's comparison strictly, and ties to fewer parameters cannot
+def _rank4_wins(bounds, ll4):
+    """Whether `_lower_rank_bounds`'s `bounds` prove that a rank-4 fit of
+    log-likelihood ll4 has a lower AIC than every rank 1-3 model: each
+    rank-r model must fall short of ll_sat by more than
+    ll_sat - ll4 + (k_4 - k_r) (>= 1, as no fit exceeds ll_sat) plus
+    _BOUND_MARGIN per count, so that ties to fewer parameters cannot
     arise."""
-    n = np.asarray(counts, dtype=float)
-    bounds = _lower_rank_bounds(n, pset)
-    if bounds is None:
-        return None
-    ll_sat, upper = bounds
+    ll_sat, n_min, n_total, a = bounds
+    margin = _BOUND_MARGIN * (1.0 + n_total)
     k4 = RANK_NPARAMS[4]
-    bar = (max(ub + (k4 - RANK_NPARAMS[r]) for r, ub in
-               zip((1, 2, 3), upper))
-           + _BOUND_MARGIN * (1.0 + float(n.sum())))
-    return bar if bar < ll_sat else None
+    return all(_loss_exceeds(n_min, a_r, ll_sat - ll4
+                             + (k4 - RANK_NPARAMS[r]) + margin)
+               for r, a_r in zip((1, 2, 3), a))

@@ -22,6 +22,7 @@ from .exceptions import (
     InvariantViolation,
     UnboundedInformationError,
 )
+from .estimation import MEAN_CLAMP
 from .projectors import means_and_derivatives
 from .states import T_BASIS, density_from_cholesky, triangular
 
@@ -126,7 +127,7 @@ def fisher_mc(model, pset, n_samples, seed=0):
     if n_samples < 100:
         raise InvariantViolation("n_samples must be at least 100")
     m, dm = means_and_derivatives(model.params, pset)
-    m = np.maximum(m, 1e-12)
+    m = np.maximum(m, MEAN_CLAMP)
     rng = np.random.default_rng(seed)
     draws = rng.poisson(m, size=(n_samples, 16)).astype(float)
     scores = (draws / m - 1.0) @ dm                 # (S, k)

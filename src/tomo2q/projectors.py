@@ -12,8 +12,8 @@ M_nu = Tr[M_nu T T^dag] covers every entry.
 
 With T = sum_i theta_i T_BASIS[i] the means are quadratic forms
 M_nu = theta^T Q_nu theta, Q_nu[i, j] = Re Tr[M_nu E_i E_j^dag]. A rank-k
-model's Q is the leading k x k block of the rank-4 stack, which each
-ProjectorSet computes once.
+model's Q is the leading k x k block of the rank-4 forms; each
+ProjectorSet stacks those blocks once per k into one (16 k, k) array.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvariantViolation, InversionError
-from .states import T_BASIS, pauli_basis
+from .states import RANK_NPARAMS, T_BASIS, pauli_basis
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -47,8 +47,9 @@ def product_ket(label):
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """16 measurement operators with their tomographic B matrix, whether
-    B is invertible (`complete`), and the rank-4 quadratic forms q of the
-    mean counts.
+    B is invertible (`complete`), and the quadratic forms of the mean
+    counts, q[k] stacking every Q_nu's leading k x k block (k = 7, 12,
+    15, 16) into one (16 k, k) array.
 
     Sets compare and hash by identity.
     """
@@ -57,7 +58,7 @@ class ProjectorSet:
     operators: np.ndarray
     b: np.ndarray = field(init=False, repr=False)
     complete: bool = field(init=False, repr=False)
-    q: np.ndarray = field(init=False, repr=False)
+    q: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
@@ -73,7 +74,9 @@ class ProjectorSet:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "b", b_matrix_of(ops))
         object.__setattr__(self, "complete", completeness_check(self)[0])
-        object.__setattr__(self, "q", 0.5 * (q + q.transpose(0, 2, 1)))
+        q = 0.5 * (q + q.transpose(0, 2, 1))
+        object.__setattr__(self, "q", {k: q[:, :k, :k].reshape(16 * k, k)
+                                       for k in RANK_NPARAMS.values()})
 
     def __len__(self):
         return 16
@@ -154,7 +157,7 @@ def means_and_derivatives(theta, pset):
     M can dip below zero by round-off; callers clamp it.
     """
     k = len(theta)
-    qt = pset.q[:, :k, :k] @ theta
+    qt = (pset.q[k] @ theta).reshape(16, k)
     return qt @ theta, 2.0 * qt
 
 

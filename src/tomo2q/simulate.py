@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (EstimationResult, RANK_NPARAMS, _rank4_bar, maice,
-                         mle)
+from .estimation import (EstimationResult, RANK_NPARAMS, _is_integer,
+                         _lower_rank_bounds, _rank4_wins, maice, mle)
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
 from .projectors import (
@@ -62,14 +62,10 @@ def preset_state(name, epsilon=None):
     return rho
 
 
-# bool is an Integral, so without the bool test a config file's true
-# would pass as the number 1 and false as 0
+# bool is a Real, so without the bool test a config file's true would
+# pass as the number 1 and false as 0
 def _is_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_integer(x):
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,11 @@ class SimulationConfig:
         if self.basis not in ("local", "inseparable"):
             raise InvariantViolation("basis must be local or inseparable")
         times = self.acquisition_times
-        if not isinstance(times, (tuple, list)) or not all(
+        if not isinstance(times, (tuple, list)) or not times or not all(
                 _is_real(t) and 0 < t < math.inf for t in times):
             raise InvariantViolation(
-                "acquisition times must be a list of positive finite "
-                "numbers")
+                "acquisition times must be a non-empty list of positive "
+                "finite numbers")
         object.__setattr__(self, "acquisition_times", tuple(times))
         if not _is_integer(self.seed) or self.seed < 0:
             raise InvariantViolation("seed must be a non-negative integer")
@@ -175,17 +171,18 @@ def true_model(rho_true, rank=None):
 def _maice_pick(counts, pset):
     """`maice(counts, pset, restarts=_SWEEP_RESTARTS)`'s selected fit.
 
-    When `_rank4_bar` proves that the rank-4 fit has a lower AIC than
-    any rank 1-3 fit can have, the pick is rank 4 whatever ranks 1-3
-    would reach, so only rank 4 is fitted, by `mle(4, counts, pset)`.
-    Rank 4's likelihood is concave, so that fit is the global maximum
-    that `maice`'s rank-4 fit also reaches.  Otherwise (no proof, or a
-    rank-4 fit below the bar) `maice` fits all four ranks.
+    `_rank4_wins` tests in closed form whether a rank-4 fit of a given
+    log-likelihood has a lower AIC than any rank 1-3 fit can have.  A
+    no at the saturated log-likelihood, which no fit exceeds, or a zero
+    count sends the counts to `maice`; otherwise only `mle(4, counts,
+    pset)` is fitted, and it is the pick when the test passes at its
+    log-likelihood.  Rank 4's likelihood is concave, so that fit is the
+    global maximum that `maice`'s rank-4 fit also reaches.
     """
-    bar = _rank4_bar(counts, pset)
-    if bar is not None:
+    bounds = _lower_rank_bounds(np.asarray(counts, dtype=float), pset)
+    if bounds is not None and _rank4_wins(bounds, bounds[0]):
         res = mle(4, counts, pset)
-        if res.log_likelihood > bar:
+        if _rank4_wins(bounds, res.log_likelihood):
             return res
     return maice(counts, pset, restarts=_SWEEP_RESTARTS)[0]
 
@@ -195,12 +192,12 @@ def run_sweep(config):
 
     Each trial's estimate is `mle(4, ...)` for the mle16 estimator and
     MAICE's pick for maice (`_maice_pick`).  A MAICE trial skips the
-    rank 1-3 fits when a likelihood bound proves that rank 4 wins the
-    AIC comparison, as it does in most trials of a full-rank truth at
-    lambda >= 1e3; the pick is then the same rank-4 fit, with only its
-    `iterations` counting fewer starts.  A trial whose estimate fails
-    with InvariantViolation (16 zero counts) ends the sweep with an
-    error that names its lambda and trial index.
+    rank 1-3 fits when a closed-form test on a likelihood bound proves
+    that rank 4 wins the AIC comparison, as it does in most trials of a
+    full-rank truth at lambda >= 1e3; the pick is then the same rank-4
+    fit, with only its `iterations` counting fewer starts.  A trial
+    whose estimate fails with InvariantViolation (16 zero counts) ends
+    the sweep with an error that names its lambda and trial index.
     """
     rho_true = config.resolve_state()
     pset = config.resolve_set()

@@ -130,6 +130,19 @@ def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare-bases"])
+def test_empty_acquisition_grid_is_an_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"acquisition_times": []}))
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: acquisition times must be a non-empty list of "
+                   "positive finite numbers"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, names", [
     (["--times", "1,x"], "--times entry 'x'"),
     (["--rate", "inf"], "rate"),

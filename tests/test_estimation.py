@@ -7,15 +7,16 @@ from tomo2q.estimation import (
     _NEWTON_MU0,
     _NEWTON_MU_MAX,
     _NEWTON_MU_MIN,
+    _canonical_gauge,
     _clipped_inversion,
     _log_factorials,
+    _loss_exceeds,
     _lower_rank_bounds,
     _negloglik,
     _negloglik_and_grad,
     _newton,
     _positive_definite,
-    _rank4_bar,
-    _rank_q,
+    _rank4_wins,
     _starts,
     EstimationResult,
     aic,
@@ -191,7 +192,7 @@ def _bfgs_reference(rank, n, pset):
     minimize = pytest.importorskip("scipy.optimize").minimize
     n = np.asarray(n, dtype=float)
     lgamma = _log_factorials(n)
-    q = _rank_q(pset, RANK_NPARAMS[rank])
+    q = pset.q[RANK_NPARAMS[rank]]
     return -min(minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
                          jac=True, method="BFGS",
                          options={"gtol": 1e-7, "maxiter": 2000}).fun
@@ -231,7 +232,7 @@ def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
     # Newton stops at |g| <= 1e-9 |logL|, which leaves M - n at ~1e-9 n
     lgamma = _log_factorials(n)
     for x0 in _jittered_starts(n, local_set, 4, 4)[1:]:
-        theta = _newton(x0, n.astype(float), _rank_q(local_set, 16),
+        theta = _newton(x0, n.astype(float), local_set.q[16],
                         lgamma)[0]
         assert misfit(theta) < 1e-8
 
@@ -295,25 +296,73 @@ def test_lower_rank_bounds_hold_on_every_corpus_fit(corpus_tables):
         if bounds is None:
             assert counts.min() == 0, label
             continue
-        ll_sat, upper = bounds
-        for r, ub in zip(table[:3], upper):
-            assert r.log_likelihood <= ub, (label, r.rank)
+        ll_sat, n_min, _, a = bounds
+        for r, a_r in zip(table[:3], a):
+            loss = ll_sat - r.log_likelihood
+            assert loss > 0.0, (label, r.rank)
+            # no bound above the loss the fit has
+            assert not _loss_exceeds(n_min, a_r, loss), (label, r.rank)
         assert table[3].log_likelihood <= ll_sat + 1e-9, label
         checked += 1
     assert checked >= 100
 
 
 def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
-    # the rank-4 fit clears the bar on every mixed-state vector at
-    # lambda >= 1e3, where maice selects rank 4; no bell or product
-    # vector (near-pure truth, boundary regime) has a bar a fit can clear
+    # the bar is the closed-form test _rank4_wins: the rank-4 fit passes
+    # it on every mixed-state vector at lambda >= 1e3, where maice
+    # selects rank 4; no bell or product vector (near-pure truth,
+    # boundary regime) passes it even at the saturated log-likelihood;
+    # wherever a fit passes it, rank 4 has the strictly lowest AIC
+    pruned = 0
     for label, pset, counts, table in corpus_tables:
-        bar = _rank4_bar(counts, pset)
+        bounds = _lower_rank_bounds(counts.astype(float), pset)
+        wins = (bounds is not None
+                and _rank4_wins(bounds, table[3].log_likelihood))
         if label.startswith("mixed/") and "/1e2/" not in label:
-            assert bar is not None and table[3].log_likelihood > bar, label
-            assert min(table, key=lambda r: r.aic).rank == 4, label
+            assert wins and _rank4_wins(bounds, bounds[0]), label
         elif not label.startswith("mixed/"):
-            assert bar is None, label
+            assert bounds is None or not _rank4_wins(bounds, bounds[0]), \
+                label
+        if wins:
+            assert table[3].aic < min(r.aic for r in table[:3]), label
+            pruned += 1
+    assert pruned >= 30
+
+
+def test_loss_exceeds_agrees_with_a_dense_scan_over_c():
+    # max over c > 1 of min(n_min h(c), a / c) against a scan of c - 1
+    # over 16 decades; the scan's step moves either term by < 1e-3, so
+    # losses within 2e-3 of the scanned maximum are left out
+    rng = np.random.default_rng(43)
+    c = 1.0 + np.geomspace(1e-8, 1e8, 100_000)
+    h = c - 1.0 - np.log(c)
+    agree = {True: 0, False: 0}
+    for _ in range(400):
+        n_min, a, loss = (10.0 ** rng.uniform([0, -2, -1], [5, 7, 4])).tolist()
+        scanned = np.minimum(n_min * h, a / c).max()
+        if abs(scanned - loss) <= 2e-3 * loss:
+            continue
+        assert _loss_exceeds(n_min, a, loss) is bool(scanned > loss), (
+            n_min, a, loss)
+        agree[bool(scanned > loss)] += 1
+    assert min(agree.values()) >= 50 and sum(agree.values()) >= 380
+
+
+def test_canonical_gauge_flips_the_columns_of_t(local_set):
+    # the theta slices the gauge negates are the columns of T whose
+    # diagonal entry is negative; the means do not move
+    rng = np.random.default_rng(44)
+    for rank in (1, 2, 3, 4):
+        for _ in range(20):
+            theta = rng.standard_normal(RANK_NPARAMS[rank])
+            t = triangular(CholeskyModel(rank, theta))
+            flipped = t * np.where(t.diagonal().real < 0, -1.0, 1.0)
+            gauged = _canonical_gauge(theta, rank)
+            assert np.array_equal(
+                triangular(CholeskyModel(rank, gauged)), flipped)
+            assert np.array_equal(
+                mean_counts(CholeskyModel(rank, gauged), local_set),
+                mean_counts(CholeskyModel(rank, theta), local_set))
 
 
 def _newton_reference(theta, n, q, lgamma):
@@ -370,7 +419,7 @@ def test_newton_matches_the_numpy_linalg_reference(corpus_tables):
         lgamma = _log_factorials(n)
         inversion = _clipped_inversion(n, pset)
         for rank in (2, 3, 4):
-            q = _rank_q(pset, RANK_NPARAMS[rank])
+            q = pset.q[RANK_NPARAMS[rank]]
             warm = table[rank - 2].theta_hat
             for x0 in _starts(n, pset, rank, warm, 4, inversion):
                 theta, f, steps = _newton(x0, n, q, lgamma)
@@ -431,6 +480,31 @@ def test_fits_reject_all_zero_counts(local_set):
         -mean_counts(m, local_set).sum(), rel=1e-12)
 
 
+@pytest.mark.parametrize("rank", [5, 0, "2", 2.0, True])
+def test_mle_rejects_a_bad_rank_before_any_work(local_set, rank):
+    # all-zero counts would raise their own error, so the rank check
+    # must come first
+    with pytest.raises(InvariantViolation,
+                       match=f"rank must be an integer from 1 to 4, "
+                             f"got {rank!r}"):
+        mle(rank, np.zeros(16), local_set)
+
+
+@pytest.mark.parametrize("restarts", [-1, 1.5, "x", "3", True, None])
+def test_fits_reject_bad_restarts_before_any_work(local_set, restarts):
+    message = f"restarts must be a non-negative integer, got {restarts!r}"
+    for rank in (1, 4):
+        with pytest.raises(InvariantViolation, match=message):
+            mle(rank, np.zeros(16), local_set, restarts=restarts)
+    with pytest.raises(InvariantViolation, match=message):
+        maice(np.zeros(16), local_set, restarts=restarts)
+
+
+def test_fits_take_numpy_integers(local_set):
+    assert mle(np.int64(2), VN_COUNTS, local_set,
+               restarts=np.int64(1)).rank == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mle_rejects_non_finite_warm(local_set, bad):
     warm = np.ones(7)
@@ -447,7 +521,7 @@ def test_newton_stops_at_the_round_off_floor(insep_set):
     n = np.array([9656, 122, 106, 137, 2472, 2562, 2401, 2543,
                   2444, 2384, 2535, 2479, 2523, 2573, 2523, 2500], float)
     x0 = _starts(n, insep_set, 3, None, 0)[0]
-    theta, f, steps = _newton(x0, n, _rank_q(insep_set, 15),
+    theta, f, steps = _newton(x0, n, insep_set.q[15],
                               _log_factorials(n))
     assert steps < _NEWTON_MAXITER // 10
     score = log_likelihood_gradient(CholeskyModel(3, theta), n, insep_set)

@@ -16,7 +16,7 @@ from tomo2q.projectors import (
     product_ket,
     projector_set_from_kets,
 )
-from tomo2q.states import density_from_cholesky, pauli_coefficients
+from tomo2q.states import T_BASIS, density_from_cholesky, pauli_coefficients
 
 from conftest import random_model
 
@@ -162,6 +162,19 @@ def test_check_counts_rejects_fractional_counts(local_set):
         maice(counts, local_set)
     # integer values stored as floats are counts
     assert np.array_equal(check_counts(np.arange(16.0)), np.arange(16.0))
+
+
+def test_quadratic_forms_are_the_leading_blocks(local_set, insep_set):
+    # q[k] stacks Q_nu[i, j] = Re Tr[M_nu E_i E_j^dag], i, j < k, over nu
+    for pset in (local_set, insep_set):
+        full = np.array([[[np.trace(op @ ei @ ej.conj().T).real
+                           for ej in T_BASIS] for ei in T_BASIS]
+                         for op in pset.operators])
+        assert sorted(pset.q) == [7, 12, 15, 16]
+        for k, q in pset.q.items():
+            assert q.shape == (16 * k, k) and q.flags.c_contiguous
+            assert np.allclose(q.reshape(16, k, k), full[:, :k, :k],
+                               rtol=0.0, atol=1e-15)
 
 
 def test_projector_set_validation():

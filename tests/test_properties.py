@@ -13,9 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tomo2q import _bfgs
 from tomo2q.cli import _config_from_args, build_parser
-from tomo2q.estimation import (_log_factorials, _loss_bound,
+from tomo2q.estimation import (_log_factorials, _loss_exceeds,
                                _lower_rank_bounds, _negloglik_and_grad,
-                               _rank_q, _starts, log_likelihood, maice)
+                               _starts, log_likelihood, maice)
 from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
@@ -83,12 +83,14 @@ def test_lower_rank_bounds_hold_for_every_model(sets, seed, true_rank, rank,
                                      pset))
     bounds = _lower_rank_bounds(counts.astype(float), pset)
     assume(bounds is not None)
-    ll_sat, upper = bounds
+    ll_sat, n_min, _, a = bounds
     n = counts.astype(float)
     for theta in (random_model(rank, rng, n.sum() / 4.0).params,
                   _starts(n, pset, rank, None, 0)[0]):
         ll = log_likelihood(CholeskyModel(rank, theta), counts, pset)
-        assert ll <= upper[rank - 1] <= ll_sat
+        assert ll < ll_sat
+        # no bound above the loss the model has
+        assert not _loss_exceeds(n_min, a[rank - 1], ll_sat - ll)
 
 
 @examples(100)
@@ -98,13 +100,13 @@ def test_loss_bound_holds_for_any_means(counts, log_ratios):
     # the lemma under _lower_rank_bounds: any means M lose
     # sum n h(M/n) >= max_c min(n_min h(c), sum (M - n)^2 / (2 c n)),
     # also where some M is far above its count and the loss grows only
-    # linearly in M
+    # linearly in M; _loss_exceeds tests the exact maximum over c
     n = np.array(counts, dtype=float)
     m = n * np.exp(log_ratios)
     loss = float(np.sum(m - n - n * np.log(m / n)))
     quadratic = float(np.sum((m - n) ** 2 / n))
     tolerance = 1e-9 * loss + 1e-12 * n.sum()     # round-off of the loss
-    assert loss >= _loss_bound(n.min(), quadratic / 2.0) - tolerance
+    assert not _loss_exceeds(n.min(), quadratic / 2.0, loss + tolerance)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +125,7 @@ def test_bfgs_port_matches_scipy_bit_for_bit(sets, optimize, seed, preset,
     counts = sample_counts(preset_state(preset), pset, 10.0 ** log_lam,
                            np.random.default_rng(seed))
     n = counts.astype(float)
-    args = (n, _rank_q(pset, 7), _log_factorials(n))
+    args = (n, pset.q[7], _log_factorials(n))
     with mock.patch.object(optimize._optimize, "line_search_wolfe2",
                            lambda *a, **k: (None,) * 6):
         for x0 in _starts(n, pset, 1, None, 4):

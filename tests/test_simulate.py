@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tomo2q.estimation import _rank4_bar, maice
+from tomo2q.estimation import _lower_rank_bounds, _rank4_wins, maice
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -193,8 +193,8 @@ def test_run_sweep_trial_order_independence():
 def test_sweep_trial_fit_is_the_standalone_fit():
     # a sweep's estimate is maice's pick for the trial's counts; most
     # mixed-state trials at lambda 1e3 and 1e4 fit rank 4 alone, because
-    # its log-likelihood clears the bar that ranks 1-3 cannot reach, and
-    # no bell-state trial does
+    # the closed-form test proves that ranks 1-3 cannot reach its AIC,
+    # and no bell-state trial does
     pset = local_projector_set()
     for state, times in (("bell", (0.2, 2.0)), ("mixed", (2.0, 20.0))):
         res = run_sweep(small_config(true_state=state,
@@ -206,8 +206,9 @@ def test_sweep_trial_fit_is_the_standalone_fit():
                 assert rec.result.rank == alone.rank
                 assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
                 assert rec.result.log_likelihood == alone.log_likelihood
-                bar = _rank4_bar(rec.counts, pset)
-                pruned += bar is not None and rec.result.log_likelihood > bar
+                bounds = _lower_rank_bounds(rec.counts.astype(float), pset)
+                pruned += bounds is not None and _rank4_wins(
+                    bounds, rec.result.log_likelihood)
         if state == "bell":
             assert pruned == 0
         else:
