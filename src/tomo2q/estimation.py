@@ -8,12 +8,17 @@ rank-deficient model that assigns zero mean to a nonzero count then
 scores astronomically badly instead of crashing, and AIC disposes of
 it naturally.
 
-Every rank fit starts from the linear inversion and from `warm`, in
-`maice` the fit of the rank below.  `maice` clips the inversion to the
-PSD cone and diagonalizes it once; each rank truncates that
-eigendecomposition to its first start.  Ranks 1-3 also start from
-jittered copies of the inversion; at rank 4 they cannot change the fit
-(see `_starts`).  Ranks 2-4 use damped Newton on the analytic Hessian
+The counts determine the unnormalized linear inversion X_n, whose
+means Tr[P_nu X_n] are the counts themselves (`_solve_counts`).  Where
+X_n is positive definite it is a rank-4 model with M = n, the saturated
+fit, which no model exceeds: the rank-4 fit is then X_n's Cholesky
+factor, with 0 iterations (`_saturated_theta`).  Every other fit starts
+from the linear inversion and from `warm`, in `maice` the fit of the
+rank below.  `maice` solves for X_n, clips it to the PSD cone and
+diagonalizes it once; each rank truncates that eigendecomposition to
+its first start.  Ranks 1-3 also start from jittered copies of the
+inversion; at rank 4 they cannot change the fit (see `_starts`).
+Ranks 2-4 use damped Newton on the analytic Hessian
 (Levenberg-Marquardt damping, More 1978): it takes a fraction of
 BFGS's time, and from the same starts it almost always ends at the
 optimum BFGS ends at.  Rank 1 runs
@@ -43,10 +48,12 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from ._bfgs import minimize
-from .exceptions import InvariantViolation, TomographyError
+from .exceptions import InvariantViolation
+# linear_tomography stays importable here because perfbench's tracing
+# patches it; the fits solve for the inversion in `_solve_counts`
 from .projectors import (_check_count_vector, check_counts,
-                         linear_tomography, mean_counts,
-                         means_and_derivatives)
+                         linear_tomography,  # noqa: F401
+                         mean_counts, means_and_derivatives)
 from .states import (
     CholeskyModel,
     RANK_NPARAMS,
@@ -54,6 +61,7 @@ from .states import (
     check_density,
     density_from_cholesky,
     density_from_pauli,
+    params_from_triangular,
 )
 
 MEAN_CLAMP = 1e-12
@@ -83,7 +91,9 @@ class EstimationResult:
     rho_hat: np.ndarray
     lambda_hat: float
     converged: bool
-    iterations: int     # summed over starts: BFGS at rank 1, else Newton
+    # summed over starts: BFGS at rank 1, else Newton; 0 for the
+    # closed-form saturated fit of a positive definite inversion
+    iterations: int
 
 
 def aic(log_likelihood, rank):
@@ -196,14 +206,40 @@ def _newton(theta, n, q, lgamma):
     return theta, f, iterations
 
 
-def _clipped_inversion(n, pset):
+def _solve_counts(n, pset):
+    """x solving B x = n, or None for an incomplete set: the Pauli
+    coefficients of the unnormalized linear inversion
+    X_n = sum_mu x_mu Gamma_mu, whose means Tr[P_nu X_n] are the counts.
+    `linear_tomography` is x split into (x / x_0, x_0)."""
+    return np.linalg.solve(pset.b, n) if pset.complete else None
+
+
+def _saturated_theta(n, x):
+    """The rank-4 MLE in closed form, or None: when all 16 counts are
+    positive and X_n (x from `_solve_counts`) is positive definite, its
+    Cholesky factor T = L, X_n = L L*, is a rank-4 model with M = n, the
+    saturated fit, above every other model.  L's diagonal is real and
+    positive, the canonical gauge."""
+    if x is None or not n.min() > 0.0:
+        return None
+    with np.errstate(invalid="ignore"):
+        t = cholesky_lo(density_from_pauli(x))
+    if math.isnan(t.real.item(0)):
+        return None
+    return params_from_triangular(t, 4)
+
+
+def _clipped_inversion(n, pset, x=None):
     """The linear inversion clipped to the PSD cone, as (w, v, lambda):
     the eigenvalues and eigenvectors of its density matrix, and the
-    count scale.  Every rank's first start truncates it."""
-    try:
-        phi, lam = linear_tomography(n, pset)
-        rho = density_from_pauli(phi)
-    except TomographyError:
+    count scale.  Every rank's first start truncates it.  `x` is
+    `_solve_counts(n, pset)`, computed here when None."""
+    if x is None:
+        x = _solve_counts(n, pset)
+    if x is not None and x[0] > 0.0:
+        lam = float(x[0])
+        rho = density_from_pauli(x / x[0])
+    else:
         lam = max(float(n.sum()) / 4.0, 1.0)
         rho = np.eye(4, dtype=complex) / 4.0
     rho = 0.5 * (rho + rho.conj().T)
@@ -213,6 +249,26 @@ def _clipped_inversion(n, pset):
     rho /= np.trace(rho).real
     w, v = np.linalg.eigh(check_density(rho))
     return w, v, lam
+
+
+def _padded_warm(warm, rank):
+    """`warm` zero-padded to the rank's parameter count, or None; a warm
+    start longer than that or not finite raises InvariantViolation."""
+    if warm is None:
+        return None
+    k = RANK_NPARAMS[rank]
+    warm = np.asarray(warm, dtype=float)
+    if warm.ndim != 1 or len(warm) > k:
+        raise InvariantViolation(
+            f"warm start must have at most {k} entries for rank {rank}")
+    bad = np.flatnonzero(~np.isfinite(warm))
+    if bad.size:
+        i = int(bad[0])
+        raise InvariantViolation(
+            f"warm start must be finite; entry {i} is {float(warm[i])!r}")
+    padded = np.zeros(k)
+    padded[:len(warm)] = warm
+    return padded
 
 
 def _starts(n, pset, rank, warm, restarts, inversion=None):
@@ -225,7 +281,9 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
     stationary point of full rank is the global MLE.  A rank-deficient
     end point is global iff the KKT conditions hold,
     G = sum_nu (n/M - 1) P_nu <= 0 and G T = 0; a test checks them on
-    the rank-4 fit of every vector of the test corpus.
+    the rank-4 fit of every vector of the test corpus.  Where the
+    inversion is positive definite, `mle` needs no start at rank 4: the
+    fit is `_saturated_theta`'s closed form.
 
     `inversion` is `_clipped_inversion(n, pset)`, computed here when it
     is None."""
@@ -235,19 +293,9 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
     theta0 = _cholesky_from_eigh(*inversion, rank).params
 
     starts = [theta0]
+    warm = _padded_warm(warm, rank)
     if warm is not None:
-        warm = np.asarray(warm, dtype=float)
-        if warm.ndim != 1 or len(warm) > k:
-            raise InvariantViolation(
-                f"warm start must have at most {k} entries for rank {rank}")
-        bad = np.flatnonzero(~np.isfinite(warm))
-        if bad.size:
-            i = int(bad[0])
-            raise InvariantViolation(
-                f"warm start must be finite; entry {i} is {float(warm[i])!r}")
-        padded = np.zeros(k)
-        padded[:len(warm)] = warm
-        starts.append(padded)
+        starts.append(warm)
     jittered = restarts if rank < 4 else 0
     if jittered:
         scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
@@ -262,22 +310,28 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
         _inversion=None):
     """Maximum-likelihood fit of one rank model.
 
-    Fits from the PSD-clipped linear inversion, then from `warm`
-    (zero-padded to the rank's parameter count), then, at ranks 1-3,
-    from `restarts` jittered copies of the linear inversion; the best
-    end point wins.  `restarts` does nothing at rank 4 (see `_starts`).
-    Rank 1 runs the in-package port of scipy's BFGS on the analytic
-    score, ranks 2-4 damped Newton on the analytic Hessian (see the
-    module docstring for why the ranks differ).  The jitter generator is
-    fixed per rank, so the fit is a function of (counts, warm, restarts)
-    alone.  `counts` may also be expected counts, as for a noiseless
-    fit; all-zero counts and a non-finite `warm` raise
-    InvariantViolation, as do a `rank` other than an integer from 1 to 4
-    and a `restarts` other than a non-negative integer.  `converged`
-    reports whether the score vanishes at the result; `iterations` sums
+    At rank 4, when the set is complete, all 16 counts are positive and
+    the unnormalized linear inversion is positive definite, the fit is
+    the saturated MLE M = n in closed form (`_saturated_theta`), with 0
+    iterations.  Otherwise it fits from the PSD-clipped linear
+    inversion, then from `warm` (zero-padded to the rank's parameter
+    count), then, at ranks 1-3, from `restarts` jittered copies of the
+    linear inversion; the best end point wins.  `restarts` does nothing
+    at rank 4 (see `_starts`).  Rank 1 runs the in-package port of
+    scipy's BFGS on the analytic score, ranks 2-4 damped Newton on the
+    analytic Hessian (see the module docstring for why the ranks
+    differ).  The jitter generator is fixed per rank, so the fit is a
+    function of (counts, warm, restarts) alone.  `counts` may also be
+    expected counts, as for a noiseless fit; all-zero counts and a
+    non-finite `warm` raise InvariantViolation, as do a `rank` other
+    than an integer from 1 to 4 and a `restarts` other than a
+    non-negative integer.  `converged` reports whether the score
+    vanishes at the result, for the closed form too; `iterations` sums
     the solver's iterations over the starts.
-    `maice` passes its one `_clipped_inversion` of the counts as
-    `_inversion`, so that its four fits share it.
+    `_inversion` is (x, inversion): x `_solve_counts(n, pset)` and
+    inversion `_clipped_inversion(n, pset, x)`, or None to compute it
+    only if a start needs it.  `maice` passes both, so that its four
+    fits share them; a pruned sweep trial passes the x of its bound.
     """
     if not _is_integer(rank) or rank not in RANK_NPARAMS:
         raise InvariantViolation(
@@ -287,23 +341,31 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     if not n.any():
         raise InvariantViolation(
             "all 16 counts are zero; they determine no state")
+    # checked here too, because the closed form takes no start
+    warm = _padded_warm(warm, rank)
     lgamma = _log_factorials(n)
     q = pset.q[RANK_NPARAMS[rank]]
+    x, inversion = (_inversion if _inversion is not None
+                    else (_solve_counts(n, pset), None))
 
-    best_theta, best_f = None, None
+    theta = _saturated_theta(n, x) if rank == 4 else None
     total_iter = 0
-    for x0 in _starts(n, pset, rank, warm, restarts, _inversion):
-        if rank == 1:
-            res = minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
-                           gtol=1e-7, maxiter=2000)
-            x, f, nit = res.x, res.fun, res.nit
-        else:
-            x, f, nit = _newton(x0, n, q, lgamma)
-        total_iter += int(nit)
-        if best_theta is None or f < best_f:
-            best_theta, best_f = x, f
+    if theta is None:
+        if inversion is None:
+            inversion = _clipped_inversion(n, pset, x)
+        best_theta, best_f = None, None
+        for x0 in _starts(n, pset, rank, warm, restarts, inversion):
+            if rank == 1:
+                res = minimize(_negloglik_and_grad, x0,
+                               args=(n, q, lgamma), gtol=1e-7, maxiter=2000)
+                end, f, nit = res.x, res.fun, res.nit
+            else:
+                end, f, nit = _newton(x0, n, q, lgamma)
+            total_iter += int(nit)
+            if best_theta is None or f < best_f:
+                best_theta, best_f = end, f
+        theta = _canonical_gauge(best_theta, rank)
 
-    theta = _canonical_gauge(best_theta, rank)
     model = CholeskyModel(rank=rank, params=theta)
     f, g = _negloglik_and_grad(theta, n, q, lgamma)
     ll = -float(f)
@@ -355,7 +417,8 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     """
     _check_restarts(restarts)
     n = check_counts(counts)
-    inversion = _clipped_inversion(n, pset)
+    x = _solve_counts(n, pset)
+    inversion = (x, _clipped_inversion(n, pset, x))
     results = []
     warm = None
     for rank in (1, 2, 3, 4):
@@ -367,12 +430,13 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     return best, tuple(results)
 
 
-def _lower_rank_bounds(n, pset):
+def _lower_rank_bounds(n, pset, x=None):
     """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for the counts n, ll_sat
     the saturated log-likelihood (every mean equal to its count): every
     rank-r model, r = 1, 2, 3, falls short of ll_sat by at least
     max_c min(n_min h(c), a_r / c).  None unless the set is complete and
-    all 16 counts are positive.
+    all 16 counts are positive.  `x` is `_solve_counts(n, pset)`,
+    computed here when None.
 
     Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
     ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
@@ -401,9 +465,10 @@ def _lower_rank_bounds(n, pset):
     """
     if not pset.complete or not n.min() > 0.0:
         return None
+    if x is None:
+        x = _solve_counts(n, pset)
     ll_sat = float(np.sum(n * np.log(n) - n)) - _log_factorials(n)
-    mu = np.linalg.eigvalsh(
-        density_from_pauli(np.linalg.solve(pset.b, n))).tolist()[::-1]
+    mu = np.linalg.eigvalsh(density_from_pauli(x)).tolist()[::-1]
     s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False).item(-1)
     a = tuple(2.0 * s * s * (sum(min(m, 0.0) ** 2 for m in mu[:r])
                              + sum(m * m for m in mu[r:]))

@@ -14,9 +14,13 @@ With T = sum_i theta_i T_BASIS[i] the means are quadratic forms
 M_nu = theta^T Q_nu theta, Q_nu[i, j] = Re Tr[M_nu E_i E_j^dag]. A rank-k
 model's Q is the leading k x k block of the rank-4 forms; each
 ProjectorSet stacks those blocks once per k into one (16 k, k) array.
+A ProjectorSet is immutable, arrays included, so the two built-in sets
+are process-wide constants, each built on its first use.
 """
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,7 +55,8 @@ class ProjectorSet:
     counts, q[k] stacking every Q_nu's leading k x k block (k = 7, 12,
     15, 16) into one (16 k, k) array.
 
-    Sets compare and hash by identity.
+    Sets compare and hash by identity.  Every array is read-only and `q`
+    a read-only mapping, so that a set can be shared.
     """
 
     name: str
@@ -61,7 +66,8 @@ class ProjectorSet:
     q: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = np.asarray(self.operators, dtype=complex)
+        # a copy: freezing it must not freeze the caller's array
+        ops = np.array(self.operators, dtype=complex)
         if ops.shape != (16, 4, 4):
             raise InvariantViolation("expected 16 operators of shape 4x4")
         herm = np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))
@@ -71,12 +77,18 @@ class ProjectorSet:
         # q[nu, i, j] = Re Tr[M_nu E_i E_j^dag], symmetrized
         q = np.real(np.einsum("nab,ibc,jac->nij", ops, T_BASIS,
                               T_BASIS.conj(), optimize=True))
+        ops.setflags(write=False)
+        b = b_matrix_of(ops)
+        b.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "b", b_matrix_of(ops))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "complete", completeness_check(self)[0])
         q = 0.5 * (q + q.transpose(0, 2, 1))
-        object.__setattr__(self, "q", {k: q[:, :k, :k].reshape(16 * k, k)
-                                       for k in RANK_NPARAMS.values()})
+        blocks = {k: q[:, :k, :k].reshape(16 * k, k)
+                  for k in RANK_NPARAMS.values()}
+        for block in blocks.values():
+            block.setflags(write=False)
+        object.__setattr__(self, "q", MappingProxyType(blocks))
 
     def __len__(self):
         return 16
@@ -97,8 +109,10 @@ def projector_set_from_kets(kets, name="custom"):
     return ProjectorSet(name=name, operators=ops)
 
 
+@functools.cache
 def local_projector_set():
-    """The 16 product projectors of the row-major local grid."""
+    """The 16 product projectors of the row-major local grid; one set,
+    built on the first call, serves the whole process."""
     return projector_set_from_kets(
         [product_ket(lab) for lab in LOCAL_LABELS], name="local")
 
@@ -108,8 +122,10 @@ def _bell_like(label1, label2, phase):
     return k
 
 
+@functools.cache
 def inseparable_projector_set():
-    """Ten Bell-like projectors plus six half-weighted local operators.
+    """Ten Bell-like projectors plus six half-weighted local operators;
+    one set, built on the first call, serves the whole process.
 
     The ten superposition kets comprise the four computational Bell
     states plus two members of each of two rotated Bell bases.  The

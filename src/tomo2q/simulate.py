@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import (EstimationResult, RANK_NPARAMS, _is_integer,
-                         _lower_rank_bounds, _rank4_wins, maice, mle)
+                         _lower_rank_bounds, _rank4_wins, _solve_counts,
+                         maice, mle)
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
 from .projectors import (
@@ -28,19 +29,22 @@ from .projectors import (
     mean_counts_of_density,
     product_ket,
 )
-# run_sweep derives the Bures distance from the fidelity it has;
-# bures_distance_sq stays importable here because perfbench's tracing
-# patches it
+# run_sweep takes the truth's square root once and derives the Bures
+# distance from the fidelity it has; fidelity and bures_distance_sq stay
+# importable here because perfbench's tracing patches them
 from .states import (
     CholeskyModel,
+    _fidelity_of_sqrt,
     bures_distance_sq,  # noqa: F401
     check_density,
     cholesky_from_density,
-    fidelity,
+    fidelity,  # noqa: F401
+    psd_sqrt,
 )
 
 _PRESET_EPS = {"mixed": 0.0, "product": 0.05, "bell": 0.05}
 _SWEEP_RESTARTS = 1     # jittered extra starts per rank 1-3 fit in a sweep
+_INT64_MAX = int(np.iinfo(np.int64).max)    # largest count read_counts keeps
 
 
 def preset_state(name, epsilon=None):
@@ -177,11 +181,17 @@ def _maice_pick(counts, pset):
     count sends the counts to `maice`; otherwise only `mle(4, counts,
     pset)` is fitted, and it is the pick when the test passes at its
     log-likelihood.  Rank 4's likelihood is concave, so that fit is the
-    global maximum that `maice`'s rank-4 fit also reaches.
+    global maximum that `maice`'s rank-4 fit also reaches.  The bound
+    and the fit share one solve of the linear inversion; where it is
+    positive definite, as in nearly every trial of a full-rank truth at
+    lambda >= 1e3, the fit is the closed-form saturated MLE, bit-equal
+    to `maice`'s rank-4 fit.
     """
-    bounds = _lower_rank_bounds(np.asarray(counts, dtype=float), pset)
+    n = np.asarray(counts, dtype=float)
+    x = _solve_counts(n, pset)
+    bounds = _lower_rank_bounds(n, pset, x)
     if bounds is not None and _rank4_wins(bounds, bounds[0]):
-        res = mle(4, counts, pset)
+        res = mle(4, counts, pset, _inversion=(x, None))
         if _rank4_wins(bounds, res.log_likelihood):
             return res
     return maice(counts, pset, restarts=_SWEEP_RESTARTS)[0]
@@ -195,11 +205,16 @@ def run_sweep(config):
     rank 1-3 fits when a closed-form test on a likelihood bound proves
     that rank 4 wins the AIC comparison, as it does in most trials of a
     full-rank truth at lambda >= 1e3; the pick is then the same rank-4
-    fit, with only its `iterations` counting fewer starts.  A trial
-    whose estimate fails with InvariantViolation (16 zero counts) ends
-    the sweep with an error that names its lambda and trial index.
+    fit, with only its `iterations` counting fewer starts.  Where the
+    linear inversion is positive definite that fit, for both
+    estimators, is the closed-form saturated MLE with 0 iterations.
+    The built-in projector set is a shared constant, and the truth's
+    square root is taken once for all fidelities.  A trial whose
+    estimate fails with InvariantViolation (16 zero counts) ends the
+    sweep with an error that names its lambda and trial index.
     """
-    rho_true = config.resolve_state()
+    rho_true = check_density(config.resolve_state())
+    sqrt_true = psd_sqrt(rho_true)
     pset = config.resolve_set()
     model_true = true_model(rho_true)
     report = bound_coefficient(model_true, pset)
@@ -220,7 +235,7 @@ def run_sweep(config):
             except InvariantViolation as e:
                 raise InvariantViolation(
                     f"lambda={lam:g}, trial {ti}: {e}") from None
-            f = fidelity(rho_true, res.rho_hat)
+            f = _fidelity_of_sqrt(sqrt_true, check_density(res.rho_hat))
             recs.append(TrialRecord(
                 trial_index=ti, counts=counts, result=res,
                 fidelity_to_true=f, bures_sq_to_true=2.0 * (1.0 - f)))
@@ -334,6 +349,9 @@ def read_counts(path):
                 if v < 0:
                     raise CountsParseError(
                         f"negative count {v}", line_number=ln)
+                if v > _INT64_MAX:
+                    raise CountsParseError(
+                        f"count {v} exceeds {_INT64_MAX}", line_number=ln)
                 values.append(v)
                 last_line = ln
     if len(values) != 16:

@@ -181,7 +181,7 @@ def _cholesky_from_eigh(w, v, lam, rank):
     order = np.argsort(w)[::-1][:rank]
     a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho
     # LQ: A = R* Q* with R* lower-trapezoidal; column phases fixed real
-    _, r = np.linalg.qr(a.conj().T)
+    r = np.linalg.qr(a.conj().T, mode="r")
     t4 = np.zeros((4, 4), dtype=complex)
     t4[:, :rank] = r.conj().T
     for j in range(rank):
@@ -201,8 +201,12 @@ def psd_sqrt(m):
 def fidelity(rho1, rho2):
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1]."""
     rho1 = check_density(rho1)
-    rho2 = check_density(rho2)
-    s = psd_sqrt(rho1)
+    return _fidelity_of_sqrt(psd_sqrt(rho1), check_density(rho2))
+
+
+def _fidelity_of_sqrt(s, rho2):
+    """`fidelity(rho1, rho2)` from s = psd_sqrt(rho1), for a caller that
+    compares one rho1 with many checked density matrices rho2."""
     w = np.linalg.eigvalsh(s @ rho2 @ s)
     f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
     return min(max(f, 0.0), 1.0)

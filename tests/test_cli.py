@@ -48,6 +48,15 @@ def test_estimate_malformed_counts(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_estimate_count_beyond_int64_is_an_error(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text("99999999999999999999999 " + " ".join(["1"] * 15) + "\n")
+    rc = main(["estimate", "--counts", str(p)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds" in err
+
+
 @pytest.mark.parametrize("model", ["maice", "mle16"])
 def test_estimate_all_zero_counts_is_an_error(tmp_path, capsys, model):
     p = tmp_path / "zeros.txt"

@@ -35,6 +35,7 @@ from tomo2q.states import (
     density_from_cholesky,
     density_from_pauli,
     fidelity,
+    params_from_triangular,
     triangular,
 )
 
@@ -157,14 +158,17 @@ def test_mle_seeded_determinism(local_set):
 
 
 def test_mle_does_not_swallow_unexpected_errors(local_set, monkeypatch):
+    # the inversion feeds Newton's starts at rank 2 and the closed form
+    # at rank 4; an error from it reaches the caller on both paths
     import tomo2q.estimation as est
 
     def broken(counts, pset):
         raise RuntimeError("not a tomography error")
 
-    monkeypatch.setattr(est, "linear_tomography", broken)
-    with pytest.raises(RuntimeError, match="not a tomography error"):
-        mle(4, VN_COUNTS, local_set)
+    monkeypatch.setattr(est, "_solve_counts", broken)
+    for rank in (2, 4):
+        with pytest.raises(RuntimeError, match="not a tomography error"):
+            mle(rank, VN_COUNTS, local_set)
 
 
 def test_mle_rejects_bad_init(local_set):
@@ -235,6 +239,67 @@ def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
         theta = _newton(x0, n.astype(float), local_set.q[16],
                         lgamma)[0]
         assert misfit(theta) < 1e-8
+
+
+# the published c01 table in the local set's row-major grid order
+C01_GRID = np.array([615, 553, 550, 576, 613, 605, 575, 622,
+                     596, 577, 574, 569, 609, 601, 591, 569])
+
+
+def _unnormalized_inversion(counts, pset):
+    """X_n, the Hermitian matrix whose means are the counts."""
+    x = np.linalg.solve(pset.b, np.asarray(counts, dtype=float))
+    return density_from_pauli(x)
+
+
+def _inversion_is_positive_definite(counts, pset):
+    return np.linalg.eigvalsh(_unnormalized_inversion(counts, pset))[0] > 0.0
+
+
+def _newton_rank_4(counts, pset):
+    """`_newton` from the clipped inversion, as `mle(4, counts, pset)`
+    fits without the closed form: (gauge-fixed theta, logL, steps)."""
+    n = np.asarray(counts, dtype=float)
+    x0 = _starts(n, pset, 4, None, 0)[0]
+    theta, f, steps = _newton(x0, n, pset.q[16], _log_factorials(n))
+    return _canonical_gauge(theta, 4), -f, steps
+
+
+def test_rank_4_fit_of_a_positive_definite_inversion_is_closed_form(
+        local_set):
+    # the fit is the inversion's Cholesky factor, with 0 iterations: the
+    # saturated MLE M = n, the point Newton converges to
+    cases = [(label, pset, counts) for label, pset, counts in corpus()
+             if _inversion_is_positive_definite(counts, pset)]
+    assert len(cases) >= 40
+    assert _inversion_is_positive_definite(C01_GRID, local_set)
+    for label, pset, counts in cases + [("c01", local_set, C01_GRID)]:
+        res = mle(4, counts, pset)
+        chol = np.linalg.cholesky(_unnormalized_inversion(counts, pset))
+        assert np.array_equal(res.theta_hat,
+                              params_from_triangular(chol, 4)), label
+        assert res.iterations == 0 and res.converged, label
+        _, ll, _ = _newton_rank_4(counts, pset)
+        assert abs(res.log_likelihood - ll) <= 1e-9 * max(1.0, abs(ll)), \
+            label
+        model = CholeskyModel(4, res.theta_hat)
+        m = mean_counts(model, pset)
+        assert np.max(np.abs(m - counts) / counts) <= 1e-9, label
+        d = np.diagonal(triangular(model))
+        assert np.all(d.imag == 0.0) and np.all(d.real > 0.0), label
+
+
+def test_rank_4_fit_of_an_indefinite_inversion_runs_newton():
+    checked = 0
+    for label, pset, counts in corpus():
+        if _inversion_is_positive_definite(counts, pset):
+            continue
+        res = mle(4, counts, pset)
+        theta, _, steps = _newton_rank_4(counts, pset)
+        assert res.iterations == steps > 0, label
+        assert np.array_equal(res.theta_hat, theta), label
+        checked += 1
+    assert checked >= 40
 
 
 def _kkt_residuals(counts, pset, theta):

@@ -187,10 +187,22 @@ def test_projector_set_validation():
 
 
 def test_projector_sets_compare_and_hash_by_identity(local_set):
-    other = local_projector_set()
+    other = projector_set_from_kets(
+        [product_ket(lab) for lab in LOCAL_LABELS], name="local")
     assert local_set == local_set
     assert local_set != other
     assert len({local_set, other}) == 2
+
+
+def test_built_in_sets_are_shared_read_only_constants():
+    for make in (local_projector_set, inseparable_projector_set):
+        pset = make()
+        assert make() is pset
+        for array in (pset.operators, pset.b, *pset.q.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(TypeError):
+            pset.q[7] = np.zeros((112, 7))
 
 
 def test_projector_set_from_kets_normalizes():

@@ -287,6 +287,19 @@ def test_read_counts_error_line_numbers(tmp_path):
     assert "15" in str(e.value)
 
 
+def test_read_counts_rejects_a_count_beyond_int64(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("# header\n" + " ".join(["1"] * 15)
+                 + "\n99999999999999999999999\n")
+    with pytest.raises(CountsParseError,
+                       match="count 99999999999999999999999 exceeds") as e:
+        read_counts(str(p))
+    assert e.value.line_number == 3
+    # the largest int64 is still a count
+    p.write_text(" ".join(["1"] * 15) + f" {2**63 - 1}\n")
+    assert read_counts(str(p))[-1] == 2**63 - 1
+
+
 def test_tile_estimates_layout():
     mats = [np.full((4, 4), i + 1, dtype=complex) for i in range(9)]
     grid = tile_estimates(mats)
