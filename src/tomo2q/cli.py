@@ -241,7 +241,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (TomographyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        line = getattr(e, "line_number", None)
+        where = "" if line is None else f"line {line}: "
+        print(f"error: {where}{e}", file=sys.stderr)
         return 1
 
 

@@ -9,15 +9,16 @@ scores astronomically badly instead of crashing, and AIC disposes of
 it naturally.
 
 The counts determine the unnormalized linear inversion X_n, whose
-means Tr[P_nu X_n] are the counts themselves (`_solve_counts`).  Where
-X_n is positive definite it is a rank-4 model with M = n, the saturated
-fit, which no model exceeds: the rank-4 fit is then X_n's Cholesky
-factor, with 0 iterations (`_saturated_theta`).  Every other fit starts
-from the linear inversion and from `warm`, in `maice` the fit of the
-rank below.  `maice` solves for X_n, clips it to the PSD cone and
-diagonalizes it once; each rank truncates that eigendecomposition to
-its first start.  Ranks 1-3 also start from jittered copies of the
-inversion; at rank 4 they cannot change the fit (see `_starts`).
+means Tr[P_nu X_n] are the counts themselves; `_Inversion` builds it
+once per count table, for `maice`'s four fits or a sweep trial's bound
+and fit.  Where X_n is positive definite it is a rank-4 model with
+M = n, the saturated fit, which no model exceeds: the rank-4 fit is
+then X_n's Cholesky factor, with 0 iterations.  Every other fit starts
+from the inversion clipped to the PSD cone, diagonalized once per
+table, each rank truncating that eigendecomposition, and from `warm`,
+in `maice` the fit of the rank below.  Ranks 1-3 also start from
+jittered copies of the inversion; at rank 4 they cannot change the fit
+(see `_starts`).
 Ranks 2-4 use damped Newton on the analytic Hessian
 (Levenberg-Marquardt damping, More 1978): it takes a fraction of
 BFGS's time, and from the same starts it almost always ends at the
@@ -40,6 +41,7 @@ factorizations stay: solving with the Cholesky factor would change the
 step's last bits, and with them the optima the fits reach.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -214,41 +216,48 @@ def _solve_counts(n, pset):
     return np.linalg.solve(pset.b, n) if pset.complete else None
 
 
-def _saturated_theta(n, x):
-    """The rank-4 MLE in closed form, or None: when all 16 counts are
-    positive and X_n (x from `_solve_counts`) is positive definite, its
-    Cholesky factor T = L, X_n = L L*, is a rank-4 model with M = n, the
-    saturated fit, above every other model.  L's diagonal is real and
-    positive, the canonical gauge."""
-    if x is None or not n.min() > 0.0:
-        return None
-    with np.errstate(invalid="ignore"):
-        t = cholesky_lo(density_from_pauli(x))
-    if math.isnan(t.real.item(0)):
-        return None
-    return params_from_triangular(t, 4)
+class _Inversion:
+    """What one count table's fits share: the counts n (floats), lgamma
+    = sum ln(n!), x = `_solve_counts(n, pset)` and X_n (xn), both None
+    for an incomplete set, and `factor`.  `factor` is X_n's Cholesky
+    factor L, X_n = L L*, or None unless the set is complete, all 16
+    counts are positive and X_n is positive definite: L is then a rank-4
+    model with M = n, the saturated fit, above every other model, with
+    a real positive diagonal, the canonical gauge.  `clipped` is built
+    on first use, as the closed form takes no start."""
 
+    def __init__(self, n, pset):
+        self.n = n
+        self.lgamma = _log_factorials(n)
+        self.x = _solve_counts(n, pset)
+        self.xn = self.factor = None
+        if self.x is not None:
+            self.xn = density_from_pauli(self.x)
+            if n.min() > 0.0:
+                with np.errstate(invalid="ignore"):
+                    t = cholesky_lo(self.xn)
+                if not math.isnan(t.real.item(0)):
+                    self.factor = t
 
-def _clipped_inversion(n, pset, x=None):
-    """The linear inversion clipped to the PSD cone, as (w, v, lambda):
-    the eigenvalues and eigenvectors of its density matrix, and the
-    count scale.  Every rank's first start truncates it.  `x` is
-    `_solve_counts(n, pset)`, computed here when None."""
-    if x is None:
-        x = _solve_counts(n, pset)
-    if x is not None and x[0] > 0.0:
-        lam = float(x[0])
-        rho = density_from_pauli(x / x[0])
-    else:
-        lam = max(float(n.sum()) / 4.0, 1.0)
-        rho = np.eye(4, dtype=complex) / 4.0
-    rho = 0.5 * (rho + rho.conj().T)
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 1e-6, None)
-    rho = (v * w) @ v.conj().T
-    rho /= np.trace(rho).real
-    w, v = np.linalg.eigh(check_density(rho))
-    return w, v, lam
+    @functools.cached_property
+    def clipped(self):
+        """The inversion clipped to the PSD cone, as (w, v, lambda): the
+        eigenvalues and eigenvectors of its density matrix, and the
+        count scale.  Every rank's first start truncates it."""
+        x = self.x
+        if x is not None and x[0] > 0.0:
+            lam = float(x[0])
+            rho = density_from_pauli(x / x[0])
+        else:
+            lam = max(float(self.n.sum()) / 4.0, 1.0)
+            rho = np.eye(4, dtype=complex) / 4.0
+        rho = 0.5 * (rho + rho.conj().T)
+        w, v = np.linalg.eigh(rho)
+        w = np.clip(w, 1e-6, None)
+        rho = (v * w) @ v.conj().T
+        rho /= np.trace(rho).real
+        w, v = np.linalg.eigh(check_density(rho))
+        return w, v, lam
 
 
 def _padded_warm(warm, rank):
@@ -271,10 +280,10 @@ def _padded_warm(warm, rank):
     return padded
 
 
-def _starts(n, pset, rank, warm, restarts, inversion=None):
-    """The PSD-clipped linear inversion, `warm` zero-padded to the rank's
-    parameter count, then, at ranks 1-3, `restarts` jittered copies of
-    the inversion.  The jitter generator is fixed per rank.
+def _starts(inv, rank, warm, restarts):
+    """The PSD-clipped linear inversion of the `_Inversion` inv, `warm`
+    zero-padded to the rank's parameter count, then, at ranks 1-3,
+    `restarts` jittered copies of it.  The jitter is fixed per rank.
 
     Rank 4 needs no jitter.  The log-likelihood is concave in X = T T*,
     and near a full-rank T the map from theta to X is invertible, so a
@@ -283,14 +292,9 @@ def _starts(n, pset, rank, warm, restarts, inversion=None):
     G = sum_nu (n/M - 1) P_nu <= 0 and G T = 0; a test checks them on
     the rank-4 fit of every vector of the test corpus.  Where the
     inversion is positive definite, `mle` needs no start at rank 4: the
-    fit is `_saturated_theta`'s closed form.
-
-    `inversion` is `_clipped_inversion(n, pset)`, computed here when it
-    is None."""
-    k = RANK_NPARAMS[rank]
-    if inversion is None:
-        inversion = _clipped_inversion(n, pset)
-    theta0 = _cholesky_from_eigh(*inversion, rank).params
+    fit is the closed form `inv.factor`."""
+    k, n = RANK_NPARAMS[rank], inv.n
+    theta0 = _cholesky_from_eigh(*inv.clipped, rank).params
 
     starts = [theta0]
     warm = _padded_warm(warm, rank)
@@ -312,7 +316,7 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
 
     At rank 4, when the set is complete, all 16 counts are positive and
     the unnormalized linear inversion is positive definite, the fit is
-    the saturated MLE M = n in closed form (`_saturated_theta`), with 0
+    the saturated MLE M = n in closed form (`_Inversion.factor`), with 0
     iterations.  Otherwise it fits from the PSD-clipped linear
     inversion, then from `warm` (zero-padded to the rank's parameter
     count), then, at ranks 1-3, from `restarts` jittered copies of the
@@ -328,10 +332,8 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     non-negative integer.  `converged` reports whether the score
     vanishes at the result, for the closed form too; `iterations` sums
     the solver's iterations over the starts.
-    `_inversion` is (x, inversion): x `_solve_counts(n, pset)` and
-    inversion `_clipped_inversion(n, pset, x)`, or None to compute it
-    only if a start needs it.  `maice` passes both, so that its four
-    fits share them; a pruned sweep trial passes the x of its bound.
+    `_inversion` is the counts' `_Inversion`, built here when None;
+    `maice` shares one among its fits, a sweep trial with its bound.
     """
     if not _is_integer(rank) or rank not in RANK_NPARAMS:
         raise InvariantViolation(
@@ -343,18 +345,15 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
             "all 16 counts are zero; they determine no state")
     # checked here too, because the closed form takes no start
     warm = _padded_warm(warm, rank)
-    lgamma = _log_factorials(n)
+    inv = _Inversion(n, pset) if _inversion is None else _inversion
+    lgamma = inv.lgamma
     q = pset.q[RANK_NPARAMS[rank]]
-    x, inversion = (_inversion if _inversion is not None
-                    else (_solve_counts(n, pset), None))
-
-    theta = _saturated_theta(n, x) if rank == 4 else None
     total_iter = 0
-    if theta is None:
-        if inversion is None:
-            inversion = _clipped_inversion(n, pset, x)
+    if rank == 4 and inv.factor is not None:
+        theta = params_from_triangular(inv.factor, 4)
+    else:
         best_theta, best_f = None, None
-        for x0 in _starts(n, pset, rank, warm, restarts, inversion):
+        for x0 in _starts(inv, rank, warm, restarts):
             if rank == 1:
                 res = minimize(_negloglik_and_grad, x0,
                                args=(n, q, lgamma), gtol=1e-7, maxiter=2000)
@@ -412,31 +411,31 @@ def maice(counts, pset, restarts=_N_RESTARTS):
 
     Each rank is additionally warm-started from the best parameters of
     the rank below, which enforces the nested-model likelihood
-    ordering.  AIC ties resolve toward fewer parameters.  All-zero
-    counts and a bad `restarts` raise InvariantViolation, as in `mle`.
+    ordering.  The four fits share one `_Inversion` of the counts.  AIC
+    ties resolve toward fewer parameters.  All-zero counts and a bad
+    `restarts` raise InvariantViolation, as in `mle`.
     """
     _check_restarts(restarts)
     n = check_counts(counts)
-    x = _solve_counts(n, pset)
-    inversion = (x, _clipped_inversion(n, pset, x))
+    inv = _Inversion(n, pset)
     results = []
     warm = None
     for rank in (1, 2, 3, 4):
         r = mle(rank, n, pset, warm=warm, restarts=restarts,
-                _inversion=inversion)
+                _inversion=inv)
         results.append(r)
         warm = r.theta_hat
     best = min(results, key=lambda r: (r.aic, RANK_NPARAMS[r.rank]))
     return best, tuple(results)
 
 
-def _lower_rank_bounds(n, pset, x=None):
-    """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for the counts n, ll_sat
-    the saturated log-likelihood (every mean equal to its count): every
-    rank-r model, r = 1, 2, 3, falls short of ll_sat by at least
-    max_c min(n_min h(c), a_r / c).  None unless the set is complete and
-    all 16 counts are positive.  `x` is `_solve_counts(n, pset)`,
-    computed here when None.
+def _lower_rank_bounds(inv, pset):
+    """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for the counts of the
+    `_Inversion` inv, ll_sat the saturated log-likelihood (every mean
+    equal to its count): every rank-r model, r = 1, 2, 3, falls short of
+    ll_sat by at least L(a_r) = max_c min(n_min h(c), a_r / c).  None
+    unless `inv.factor` exists: the set is complete, all 16 counts are
+    positive and X_n is positive definite.
 
     Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
     ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
@@ -459,20 +458,21 @@ def _lower_rank_bounds(n, pset, x=None):
       at most r keeps max(mu_i, 0) for i <= r and zeros the rest
       (Eckart-Young).  The loss is then at least a_r / c with
       a_r = 2 s^2 d_r^2.
-    Every rank-r model therefore loses at least
-    max_c min(n_min h(c), a_r / c), and so does every rank-r fit,
-    whether or not it reached the rank's maximum.
+    Every rank-r model, r <= 4, therefore loses at least L(a_r), and so
+    does every rank-r fit, whether or not it reached the rank's maximum.
+    Where X_n is positive definite every mu_i > 0 and
+    d_r^2 = sum_{i>r} mu_i^2.  Elsewhere mu_4 <= 0, so
+    d_3^2 = sum_{i<=3} min(mu_i, 0)^2 + mu_4^2 = d_4^2: every rank-4
+    model, a fit of log-likelihood ll4 too, loses L(a_3), so none clears
+    `_rank4_wins`'s rank-3 bar L(a_3) > ll_sat - ll4 + 1 + margin.
     """
-    if not pset.complete or not n.min() > 0.0:
+    if inv.factor is None:
         return None
-    if x is None:
-        x = _solve_counts(n, pset)
-    ll_sat = float(np.sum(n * np.log(n) - n)) - _log_factorials(n)
-    mu = np.linalg.eigvalsh(density_from_pauli(x)).tolist()[::-1]
+    n = inv.n
+    ll_sat = float(np.sum(n * np.log(n) - n)) - inv.lgamma
+    mu = np.linalg.eigvalsh(inv.xn).tolist()[::-1]
     s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False).item(-1)
-    a = tuple(2.0 * s * s * (sum(min(m, 0.0) ** 2 for m in mu[:r])
-                             + sum(m * m for m in mu[r:]))
-              for r in (1, 2, 3))
+    a = tuple(2.0 * s * s * sum(m * m for m in mu[r:]) for r in (1, 2, 3))
     return ll_sat, float(n.min()), float(n.sum()), a
 
 

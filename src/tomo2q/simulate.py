@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (EstimationResult, RANK_NPARAMS, _is_integer,
-                         _lower_rank_bounds, _rank4_wins, _solve_counts,
+from .estimation import (EstimationResult, RANK_NPARAMS, _Inversion,
+                         _is_integer, _lower_rank_bounds, _rank4_wins,
                          maice, mle)
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
@@ -175,23 +175,20 @@ def true_model(rho_true, rank=None):
 def _maice_pick(counts, pset):
     """`maice(counts, pset, restarts=_SWEEP_RESTARTS)`'s selected fit.
 
-    `_rank4_wins` tests in closed form whether a rank-4 fit of a given
-    log-likelihood has a lower AIC than any rank 1-3 fit can have.  A
-    no at the saturated log-likelihood, which no fit exceeds, or a zero
-    count sends the counts to `maice`; otherwise only `mle(4, counts,
-    pset)` is fitted, and it is the pick when the test passes at its
-    log-likelihood.  Rank 4's likelihood is concave, so that fit is the
-    global maximum that `maice`'s rank-4 fit also reaches.  The bound
-    and the fit share one solve of the linear inversion; where it is
-    positive definite, as in nearly every trial of a full-rank truth at
-    lambda >= 1e3, the fit is the closed-form saturated MLE, bit-equal
-    to `maice`'s rank-4 fit.
+    The counts' linear inversion is built once.  Where it is positive
+    definite with 16 positive counts, `_lower_rank_bounds` bounds every
+    rank 1-3 fit's log-likelihood, and `mle(4, counts, pset)` is the
+    closed-form saturated MLE, the global maximum and bit-equal to
+    `maice`'s rank-4 fit.  That fit is the pick when `_rank4_wins`
+    proves at its log-likelihood that no rank 1-3 fit reaches its AIC.
+    Anywhere else the counts go to `maice`: where the inversion is not
+    positive definite no rank-4 fit could pass the test (see
+    `_lower_rank_bounds`).
     """
-    n = np.asarray(counts, dtype=float)
-    x = _solve_counts(n, pset)
-    bounds = _lower_rank_bounds(n, pset, x)
-    if bounds is not None and _rank4_wins(bounds, bounds[0]):
-        res = mle(4, counts, pset, _inversion=(x, None))
+    inv = _Inversion(np.asarray(counts, dtype=float), pset)
+    bounds = _lower_rank_bounds(inv, pset)
+    if bounds is not None:
+        res = mle(4, counts, pset, _inversion=inv)
         if _rank4_wins(bounds, res.log_likelihood):
             return res
     return maice(counts, pset, restarts=_SWEEP_RESTARTS)[0]
@@ -201,13 +198,13 @@ def run_sweep(config):
     """Monte Carlo sweep over the acquisition-time grid.
 
     Each trial's estimate is `mle(4, ...)` for the mle16 estimator and
-    MAICE's pick for maice (`_maice_pick`).  A MAICE trial skips the
-    rank 1-3 fits when a closed-form test on a likelihood bound proves
-    that rank 4 wins the AIC comparison, as it does in most trials of a
-    full-rank truth at lambda >= 1e3; the pick is then the same rank-4
-    fit, with only its `iterations` counting fewer starts.  Where the
-    linear inversion is positive definite that fit, for both
-    estimators, is the closed-form saturated MLE with 0 iterations.
+    MAICE's pick for maice (`_maice_pick`).  Where the linear inversion
+    is positive definite the rank-4 fit, for both estimators, is the
+    closed-form saturated MLE with 0 iterations.  A MAICE trial then
+    skips the rank 1-3 fits when a closed-form test on a likelihood
+    bound proves that rank 4 wins the AIC comparison, as it does in
+    most trials of a full-rank truth at lambda >= 1e3; the pick is the
+    same fit `maice` picks, and the inversion is solved once.
     The built-in projector set is a shared constant, and the truth's
     square root is taken once for all fidelities.  A trial whose
     estimate fails with InvariantViolation (16 zero counts) ends the

@@ -11,8 +11,8 @@ import pytest
 
 import tomo2q
 from tomo2q import _bfgs
-from tomo2q.estimation import (_log_factorials, _negloglik_and_grad, _starts,
-                               mle)
+from tomo2q.estimation import (_Inversion, _log_factorials,
+                               _negloglik_and_grad, _starts, mle)
 
 # the published tables in row-major grid order (c01, c02)
 C01 = [615, 553, 550, 576, 613, 605, 575, 622,
@@ -65,7 +65,7 @@ def test_bfgs_port_matches_scipy(local_set, insep_set, monkeypatch,
     n = np.asarray(counts, dtype=float)
     args = (n, pset.q[7], _log_factorials(n))
     statuses = set()
-    for x0 in _starts(n, pset, 1, None, 4):
+    for x0 in _starts(_Inversion(n, pset), 1, None, 4):
         ref = _scipy_bfgs(optimize, x0, args)
         res = _bfgs.minimize(_negloglik_and_grad, x0, args=args, gtol=1e-7,
                              maxiter=2000)
@@ -85,7 +85,7 @@ def test_rank_1_fit_needs_no_fallback_search(insep_set):
     n = np.asarray(RESCUED, dtype=float)
     args = (n, insep_set.q[7], _log_factorials(n))
     best = min(_scipy_bfgs(optimize, x0, args).fun
-               for x0 in _starts(n, insep_set, 1, None, 4))
+               for x0 in _starts(_Inversion(n, insep_set), 1, None, 4))
     assert mle(1, n, insep_set).log_likelihood == pytest.approx(-best,
                                                                 abs=1e-6)
 

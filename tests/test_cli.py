@@ -48,6 +48,15 @@ def test_estimate_malformed_counts(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_estimate_parse_error_names_its_line(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 2 3 4\n5 6 seven 8\n")
+    rc = main(["estimate", "--counts", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: non-integer count 'seven'\n")
+
+
 def test_estimate_count_beyond_int64_is_an_error(tmp_path, capsys):
     p = tmp_path / "big.txt"
     p.write_text("99999999999999999999999 " + " ".join(["1"] * 15) + "\n")

@@ -7,8 +7,8 @@ from tomo2q.estimation import (
     _NEWTON_MU0,
     _NEWTON_MU_MAX,
     _NEWTON_MU_MIN,
+    _Inversion,
     _canonical_gauge,
-    _clipped_inversion,
     _log_factorials,
     _loss_exceeds,
     _lower_rank_bounds,
@@ -180,8 +180,9 @@ def test_mle_rejects_bad_init(local_set):
 def _jittered_starts(n, pset, rank, count):
     """The linear-inversion start and `count` copies of it jittered as
     `_starts` jitters ranks 1-3, at any rank: at ranks 1-3 these are
-    `_starts(n, pset, rank, None, count)`."""
-    theta0 = _starts(n, pset, rank, None, 0)[0]
+    `_starts(_Inversion(n, pset), rank, None, count)`."""
+    theta0 = _starts(_Inversion(np.asarray(n, dtype=float), pset), rank,
+                     None, 0)[0]
     k = len(theta0)
     scale = max(np.abs(theta0).max(), np.sqrt(max(n.sum(), 1.0) / 4.0))
     rng = np.random.default_rng([0, rank])
@@ -260,7 +261,7 @@ def _newton_rank_4(counts, pset):
     """`_newton` from the clipped inversion, as `mle(4, counts, pset)`
     fits without the closed form: (gauge-fixed theta, logL, steps)."""
     n = np.asarray(counts, dtype=float)
-    x0 = _starts(n, pset, 4, None, 0)[0]
+    x0 = _starts(_Inversion(n, pset), 4, None, 0)[0]
     theta, f, steps = _newton(x0, n, pset.q[16], _log_factorials(n))
     return _canonical_gauge(theta, 4), -f, steps
 
@@ -354,13 +355,19 @@ def test_maice_fits_equal_standalone_fits(corpus_tables):
 
 def test_lower_rank_bounds_hold_on_every_corpus_fit(corpus_tables):
     # no rank 1-3 fit, and no rank-4 fit above the saturated
-    # log-likelihood, breaks the bounds that let a sweep skip ranks 1-3
+    # log-likelihood, breaks the bounds that let a sweep skip ranks 1-3;
+    # they exist exactly where the counts are positive and the inversion
+    # is positive definite
     checked = 0
     for label, pset, counts, table in corpus_tables:
-        bounds = _lower_rank_bounds(counts.astype(float), pset)
+        bounds = _lower_rank_bounds(_Inversion(counts.astype(float), pset),
+                                    pset)
         if bounds is None:
-            assert counts.min() == 0, label
+            assert (counts.min() == 0
+                    or not _inversion_is_positive_definite(counts, pset)), \
+                label
             continue
+        assert _inversion_is_positive_definite(counts, pset), label
         ll_sat, n_min, _, a = bounds
         for r, a_r in zip(table[:3], a):
             loss = ll_sat - r.log_likelihood
@@ -369,7 +376,7 @@ def test_lower_rank_bounds_hold_on_every_corpus_fit(corpus_tables):
             assert not _loss_exceeds(n_min, a_r, loss), (label, r.rank)
         assert table[3].log_likelihood <= ll_sat + 1e-9, label
         checked += 1
-    assert checked >= 100
+    assert checked >= 60
 
 
 def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
@@ -380,7 +387,8 @@ def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
     # wherever a fit passes it, rank 4 has the strictly lowest AIC
     pruned = 0
     for label, pset, counts, table in corpus_tables:
-        bounds = _lower_rank_bounds(counts.astype(float), pset)
+        bounds = _lower_rank_bounds(_Inversion(counts.astype(float), pset),
+                                    pset)
         wins = (bounds is not None
                 and _rank4_wins(bounds, table[3].log_likelihood))
         if label.startswith("mixed/") and "/1e2/" not in label:
@@ -482,11 +490,11 @@ def test_newton_matches_the_numpy_linalg_reference(corpus_tables):
     for label, pset, counts, table in corpus_tables:
         n = counts.astype(float)
         lgamma = _log_factorials(n)
-        inversion = _clipped_inversion(n, pset)
+        inv = _Inversion(n, pset)
         for rank in (2, 3, 4):
             q = pset.q[RANK_NPARAMS[rank]]
             warm = table[rank - 2].theta_hat
-            for x0 in _starts(n, pset, rank, warm, 4, inversion):
+            for x0 in _starts(inv, rank, warm, 4):
                 theta, f, steps = _newton(x0, n, q, lgamma)
                 ref = _newton_reference(x0, n, q, lgamma)
                 assert theta.tobytes() == ref[0].tobytes(), (label, rank)
@@ -585,7 +593,7 @@ def test_newton_stops_at_the_round_off_floor(insep_set):
     # round-off; keeping such steps used to run to the iteration cap
     n = np.array([9656, 122, 106, 137, 2472, 2562, 2401, 2543,
                   2444, 2384, 2535, 2479, 2523, 2573, 2523, 2500], float)
-    x0 = _starts(n, insep_set, 3, None, 0)[0]
+    x0 = _starts(_Inversion(n, insep_set), 3, None, 0)[0]
     theta, f, steps = _newton(x0, n, insep_set.q[15],
                               _log_factorials(n))
     assert steps < _NEWTON_MAXITER // 10

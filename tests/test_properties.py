@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tomo2q import _bfgs
 from tomo2q.cli import _config_from_args, build_parser
-from tomo2q.estimation import (_log_factorials, _loss_exceeds,
+from tomo2q.estimation import (_Inversion, _log_factorials, _loss_exceeds,
                                _lower_rank_bounds, _negloglik_and_grad,
-                               _starts, log_likelihood, maice)
+                               _rank4_wins, _starts, log_likelihood, maice,
+                               mle)
 from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
@@ -70,27 +71,62 @@ def test_maice_log_likelihoods_are_nested(sets, seed, rank, set_name, lam):
 
 
 @examples(60)
-@given(seed=seeds, true_rank=ranks, rank=st.integers(1, 3),
-       set_name=set_names, lam=st.sampled_from([1e2, 1e3, 1e4, 1e5]))
+@given(seed=seeds, true_rank=st.integers(3, 4), rank=st.integers(1, 3),
+       set_name=set_names, lam=st.sampled_from([1e3, 1e4, 1e5]))
 def test_lower_rank_bounds_hold_for_every_model(sets, seed, true_rank, rank,
                                                 set_name, lam):
     # the bound caps the log-likelihood of every rank-r model, not only
     # of fitted ones: here a random model and the inversion truncated to
-    # rank r, at the counts' scale
+    # rank r, at the counts' scale.  The bound exists only where the
+    # inversion is positive definite, which lower-rank truths and
+    # lambda 1e2 almost never give
     pset = sets[set_name]
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean_counts(random_model(true_rank, rng, lam),
                                      pset))
-    bounds = _lower_rank_bounds(counts.astype(float), pset)
+    n = counts.astype(float)
+    inv = _Inversion(n, pset)
+    bounds = _lower_rank_bounds(inv, pset)
     assume(bounds is not None)
     ll_sat, n_min, _, a = bounds
-    n = counts.astype(float)
     for theta in (random_model(rank, rng, n.sum() / 4.0).params,
-                  _starts(n, pset, rank, None, 0)[0]):
+                  _starts(inv, rank, None, 0)[0]):
         ll = log_likelihood(CholeskyModel(rank, theta), counts, pset)
         assert ll < ll_sat
         # no bound above the loss the model has
         assert not _loss_exceeds(n_min, a[rank - 1], ll_sat - ll)
+
+
+@examples(40)
+@given(seed=seeds, true_rank=ranks, set_name=set_names,
+       lam=st.sampled_from([1e2, 1e3, 1e4, 1e5]))
+def test_indefinite_inversion_never_lets_rank_4_win(sets, seed, true_rank,
+                                                    set_name, lam):
+    # with 16 positive counts and an X_n that is not positive definite,
+    # mu_4 <= 0 makes d_3 = d_4 in the proof under _lower_rank_bounds, so
+    # the rank-4 fit loses the rank-3 bound too and fails the bar that
+    # would prune ranks 1-3; the bounds are not built there
+    pset = sets[set_name]
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(mean_counts(random_model(true_rank, rng, lam),
+                                     pset))
+    n = counts.astype(float)
+    inv = _Inversion(n, pset)
+    mu = np.linalg.eigvalsh(inv.xn).tolist()[::-1]
+    assume(n.min() > 0.0 and mu[3] <= 0.0)
+    assert inv.factor is None
+    assert _lower_rank_bounds(inv, pset) is None
+    neg = [min(m, 0.0) for m in mu]
+    d2 = [sum(v * v for v in neg[:r]) + sum(m * m for m in mu[r:])
+          for r in (1, 2, 3, 4)]
+    assert d2[2] == d2[3]
+    s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False)[-1]
+    a = [2.0 * s * s * d for d in d2]
+    ll_sat = float(np.sum(n * np.log(n) - n)) - _log_factorials(n)
+    fit = mle(4, counts, pset)      # Newton from the clipped inversion
+    assert not _loss_exceeds(n.min(), a[3], ll_sat - fit.log_likelihood)
+    bounds = (ll_sat, n.min(), n.sum(), tuple(a[:3]))
+    assert not _rank4_wins(bounds, fit.log_likelihood)
 
 
 @examples(100)
@@ -128,7 +164,7 @@ def test_bfgs_port_matches_scipy_bit_for_bit(sets, optimize, seed, preset,
     args = (n, pset.q[7], _log_factorials(n))
     with mock.patch.object(optimize._optimize, "line_search_wolfe2",
                            lambda *a, **k: (None,) * 6):
-        for x0 in _starts(n, pset, 1, None, 4):
+        for x0 in _starts(_Inversion(n, pset), 1, None, 4):
             ref = _scipy_bfgs(optimize, x0, args)
             res = _bfgs.minimize(_negloglik_and_grad, x0, args=args,
                                  gtol=1e-7, maxiter=2000)

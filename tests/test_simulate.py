@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tomo2q.estimation import _lower_rank_bounds, _rank4_wins, maice
+from tomo2q.estimation import (_Inversion, _lower_rank_bounds, _rank4_wins,
+                               maice)
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -206,13 +207,45 @@ def test_sweep_trial_fit_is_the_standalone_fit():
                 assert rec.result.rank == alone.rank
                 assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
                 assert rec.result.log_likelihood == alone.log_likelihood
-                bounds = _lower_rank_bounds(rec.counts.astype(float), pset)
+                bounds = _lower_rank_bounds(
+                    _Inversion(rec.counts.astype(float), pset), pset)
                 pruned += bounds is not None and _rank4_wins(
                     bounds, rec.result.log_likelihood)
         if state == "bell":
             assert pruned == 0
         else:
             assert pruned > len(times) * 6 // 2
+
+
+def test_pruned_sweep_trial_inverts_its_counts_once(monkeypatch):
+    # every mixed-state trial at lambda 1e4 fits rank 4 alone; its bound
+    # and its closed-form fit share one solve of B x = n and one X_n, and
+    # no Newton step runs
+    import tomo2q.estimation as est
+    import tomo2q.simulate as sim
+
+    calls = {"solve": 0, "xn": 0}
+    real_solve, real_pauli = est._solve_counts, est.density_from_pauli
+
+    def solve(n, pset):
+        calls["solve"] += 1
+        return real_solve(n, pset)
+
+    def pauli(x):
+        calls["xn"] += 1
+        return real_pauli(x)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a pruned trial ran more than its rank-4 fit")
+
+    monkeypatch.setattr(est, "_solve_counts", solve)
+    monkeypatch.setattr(est, "density_from_pauli", pauli)
+    monkeypatch.setattr(est, "_newton", unexpected)
+    monkeypatch.setattr(sim, "maice", unexpected)
+    cfg = small_config(acquisition_times=(20.0,), trials=8)
+    res = run_sweep(cfg)
+    assert all(rec.result.rank == 4 for rec in res.records[0])
+    assert calls == {"solve": cfg.trials, "xn": cfg.trials}
 
 
 def test_run_sweep_failure_rate_guard(monkeypatch):
