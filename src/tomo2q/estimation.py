@@ -13,7 +13,10 @@ means Tr[P_nu X_n] are the counts themselves; `_Inversion` builds it
 once per count table, for `maice`'s four fits or a sweep trial's bound
 and fit.  Where X_n is positive definite it is a rank-4 model with
 M = n, the saturated fit, which no model exceeds: the rank-4 fit is
-then X_n's Cholesky factor, with 0 iterations.  Every other fit starts
+then X_n's Cholesky factor, with 0 iterations.  A sweep trial
+(`_maice_pick`) first asks, from its counts alone, whether a bound on
+ranks 1-3 proves that the saturated fit wins the AIC, and only then
+fits: rank 4 alone, or all four in `maice`.  Every other fit starts
 from the inversion clipped to the PSD cone, diagonalized once per
 table, each rank truncating that eigendecomposition, and from `warm`,
 in `maice` the fit of the rank below.  Ranks 1-3 also start from
@@ -463,8 +466,9 @@ def _lower_rank_bounds(inv, pset):
     Where X_n is positive definite every mu_i > 0 and
     d_r^2 = sum_{i>r} mu_i^2.  Elsewhere mu_4 <= 0, so
     d_3^2 = sum_{i<=3} min(mu_i, 0)^2 + mu_4^2 = d_4^2: every rank-4
-    model, a fit of log-likelihood ll4 too, loses L(a_3), so none clears
-    `_rank4_wins`'s rank-3 bar L(a_3) > ll_sat - ll4 + 1 + margin.
+    model of log-likelihood ll4 loses L(a_3), so none clears the rank-3
+    bar L(a_3) > ll_sat - ll4 + 1 + margin that `_rank4_wins` asks at
+    ll4 = ll_sat.
     """
     if inv.factor is None:
         return None
@@ -485,16 +489,28 @@ def _loss_exceeds(n_min, a, loss):
     return c > 1.0 and n_min * (c - 1.0 - math.log(c)) > loss
 
 
-def _rank4_wins(bounds, ll4):
-    """Whether `_lower_rank_bounds`'s `bounds` prove that a rank-4 fit of
-    log-likelihood ll4 has a lower AIC than every rank 1-3 model: each
-    rank-r model must fall short of ll_sat by more than
-    ll_sat - ll4 + (k_4 - k_r) (>= 1, as no fit exceeds ll_sat) plus
-    _BOUND_MARGIN per count, so that ties to fewer parameters cannot
-    arise."""
-    ll_sat, n_min, n_total, a = bounds
+def _rank4_wins(bounds):
+    """Whether `_lower_rank_bounds`'s `bounds` prove that the saturated
+    fit, the closed-form rank-4 fit, has a lower AIC than every rank 1-3
+    model: each rank-r model must fall short of ll_sat by more than
+    k_4 - k_r plus _BOUND_MARGIN per count, which covers the closed
+    form's round-off below ll_sat and leaves no tie to fewer
+    parameters."""
+    _, n_min, n_total, a = bounds
     margin = _BOUND_MARGIN * (1.0 + n_total)
     k4 = RANK_NPARAMS[4]
-    return all(_loss_exceeds(n_min, a_r, ll_sat - ll4
-                             + (k4 - RANK_NPARAMS[r]) + margin)
+    return all(_loss_exceeds(n_min, a_r, k4 - RANK_NPARAMS[r] + margin)
                for r, a_r in zip((1, 2, 3), a))
+
+
+def _maice_pick(counts, pset, restarts):
+    """`maice(counts, pset, restarts)`'s pick, decided before any fit:
+    the closed-form `mle(4, ...)` on the counts' one `_Inversion` when
+    `_rank4_wins` passes its bounds, else `maice`'s.  Where X_n is not
+    positive definite no rank-4 fit could pass (see `_lower_rank_bounds`).
+    """
+    inv = _Inversion(np.asarray(counts, dtype=float), pset)
+    bounds = _lower_rank_bounds(inv, pset)
+    if bounds is not None and _rank4_wins(bounds):
+        return mle(4, counts, pset, _inversion=inv)
+    return maice(counts, pset, restarts)[0]

@@ -95,16 +95,9 @@ def density_gradient(model):
     return 0.5 * (grads + np.transpose(grads.conj(), (0, 2, 1)))
 
 
-def fisher_analytic(model, pset, acquisition_time=1.0):
-    """Exact Poisson Fisher matrix J_ij = sum (1/M) dM_i dM_j.
-
-    With the unit-rate convention theta fixes the rate lambda-tilde and
-    the acquisition time multiplies every mean, so J is exactly linear
-    in acquisition_time.
-    """
-    t = float(acquisition_time)
-    if t <= 0:
-        raise InvariantViolation("acquisition time must be positive")
+def fisher_analytic(model, pset):
+    """Exact Poisson Fisher matrix J_ij = sum (1/M) dM_i dM_j, the means
+    M at the model's own scale."""
     m, dm = means_and_derivatives(model.params, pset)
     scale = max(model.lambda_scale, 1.0)
     alive = m > 1e-9 * scale
@@ -113,12 +106,12 @@ def fisher_analytic(model, pset, acquisition_time=1.0):
         raise UnboundedInformationError(
             "a measurement mean vanishes while its derivative does not; "
             "the Fisher information diverges in that direction")
-    entries = t * np.einsum('ni,n,nj->ij', dm[alive], 1.0 / m[alive],
-                            dm[alive])
+    entries = np.einsum('ni,n,nj->ij', dm[alive], 1.0 / m[alive],
+                        dm[alive])
     entries = 0.5 * (entries + entries.T)
     return FisherMatrix(entries=entries, rank_model=model.rank,
                         at_theta=model.params.copy(),
-                        acquisition_scale=model.lambda_scale * t)
+                        acquisition_scale=model.lambda_scale)
 
 
 def fisher_mc(model, pset, n_samples, seed=0):

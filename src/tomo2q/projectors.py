@@ -70,6 +70,10 @@ class ProjectorSet:
         ops = np.array(self.operators, dtype=complex)
         if ops.shape != (16, 4, 4):
             raise InvariantViolation("expected 16 operators of shape 4x4")
+        bad = np.flatnonzero(~np.isfinite(ops).all(axis=(1, 2)))
+        if bad.size:
+            raise InvariantViolation(
+                f"measurement operator {int(bad[0])} is not finite")
         herm = np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))
         if herm > 1e-12:
             raise InvariantViolation(
@@ -104,9 +108,16 @@ def b_matrix_of(operators):
 
 
 def projector_set_from_kets(kets, name="custom"):
-    kets = [np.asarray(k, dtype=complex) / np.linalg.norm(k) for k in kets]
-    ops = np.array([np.outer(k, k.conj()) for k in kets])
-    return ProjectorSet(name=name, operators=ops)
+    """Projectors onto the normalized kets; a zero or non-finite ket
+    raises InvariantViolation."""
+    ops = []
+    for i, k in enumerate(kets):
+        norm = np.linalg.norm(k)
+        if not 0.0 < norm < np.inf:
+            raise InvariantViolation(f"ket {i} must be nonzero and finite")
+        k = np.asarray(k, dtype=complex) / norm
+        ops.append(np.outer(k, k.conj()))
+    return ProjectorSet(name=name, operators=np.array(ops))
 
 
 @functools.cache

@@ -17,9 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (EstimationResult, RANK_NPARAMS, _Inversion,
-                         _is_integer, _lower_rank_bounds, _rank4_wins,
-                         maice, mle)
+# a MAICE trial's fits run in estimation._maice_pick, and run_sweep takes
+# the truth's square root once and derives the Bures distance from the
+# fidelity it has; maice, fidelity and bures_distance_sq stay importable
+# here because perfbench's tracing patches them
+from .estimation import (EstimationResult, _is_integer, _maice_pick,
+                         maice,  # noqa: F401
+                         mle)
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
 from .projectors import (
@@ -29,15 +33,13 @@ from .projectors import (
     mean_counts_of_density,
     product_ket,
 )
-# run_sweep takes the truth's square root once and derives the Bures
-# distance from the fidelity it has; fidelity and bures_distance_sq stay
-# importable here because perfbench's tracing patches them
 from .states import (
     CholeskyModel,
     _fidelity_of_sqrt,
     bures_distance_sq,  # noqa: F401
     check_density,
     cholesky_from_density,
+    density_from_cholesky,
     fidelity,  # noqa: F401
     psd_sqrt,
 )
@@ -106,7 +108,6 @@ class SimulationConfig:
 
     def resolve_state(self):
         if isinstance(self.true_state, CholeskyModel):
-            from .states import density_from_cholesky
             return density_from_cholesky(self.true_state)
         rho = preset_state(self.true_state, self.epsilon)
         check_density(rho)
@@ -172,39 +173,17 @@ def true_model(rho_true, rank=None):
     return cholesky_from_density(rho_true, 1.0, r)
 
 
-def _maice_pick(counts, pset):
-    """`maice(counts, pset, restarts=_SWEEP_RESTARTS)`'s selected fit.
-
-    The counts' linear inversion is built once.  Where it is positive
-    definite with 16 positive counts, `_lower_rank_bounds` bounds every
-    rank 1-3 fit's log-likelihood, and `mle(4, counts, pset)` is the
-    closed-form saturated MLE, the global maximum and bit-equal to
-    `maice`'s rank-4 fit.  That fit is the pick when `_rank4_wins`
-    proves at its log-likelihood that no rank 1-3 fit reaches its AIC.
-    Anywhere else the counts go to `maice`: where the inversion is not
-    positive definite no rank-4 fit could pass the test (see
-    `_lower_rank_bounds`).
-    """
-    inv = _Inversion(np.asarray(counts, dtype=float), pset)
-    bounds = _lower_rank_bounds(inv, pset)
-    if bounds is not None:
-        res = mle(4, counts, pset, _inversion=inv)
-        if _rank4_wins(bounds, res.log_likelihood):
-            return res
-    return maice(counts, pset, restarts=_SWEEP_RESTARTS)[0]
-
-
 def run_sweep(config):
     """Monte Carlo sweep over the acquisition-time grid.
 
     Each trial's estimate is `mle(4, ...)` for the mle16 estimator and
-    MAICE's pick for maice (`_maice_pick`).  Where the linear inversion
-    is positive definite the rank-4 fit, for both estimators, is the
-    closed-form saturated MLE with 0 iterations.  A MAICE trial then
-    skips the rank 1-3 fits when a closed-form test on a likelihood
-    bound proves that rank 4 wins the AIC comparison, as it does in
-    most trials of a full-rank truth at lambda >= 1e3; the pick is the
-    same fit `maice` picks, and the inversion is solved once.
+    MAICE's pick for maice (`estimation._maice_pick`).  Where the linear
+    inversion is positive definite the rank-4 fit, for both estimators,
+    is the closed-form saturated MLE with 0 iterations.  A MAICE trial
+    first asks a closed-form test on a likelihood bound, computed from
+    its counts alone, whether that fit wins the AIC comparison, as it
+    does in most trials of a full-rank truth at lambda >= 1e3; then it
+    fits rank 4 alone, the same fit `maice` picks, or all four ranks.
     The built-in projector set is a shared constant, and the truth's
     square root is taken once for all fidelities.  A trial whose
     estimate fails with InvariantViolation (16 zero counts) ends the
@@ -228,7 +207,7 @@ def run_sweep(config):
             counts = sample_counts(rho_true, pset, lam, rng)
             try:
                 res = (mle(4, counts, pset) if config.estimator == "mle16"
-                       else _maice_pick(counts, pset))
+                       else _maice_pick(counts, pset, _SWEEP_RESTARTS))
             except InvariantViolation as e:
                 raise InvariantViolation(
                     f"lambda={lam:g}, trial {ti}: {e}") from None

@@ -39,14 +39,6 @@ def test_fisher_analytic_basic_properties(local_set):
     assert w[0] > -1e-9
 
 
-def test_fisher_linear_in_acquisition_time(local_set):
-    rng = np.random.default_rng(31)
-    m = random_model(3, rng, lam=500.0)
-    j1 = fisher_analytic(m, local_set, acquisition_time=1.0).entries
-    j7 = fisher_analytic(m, local_set, acquisition_time=7.0).entries
-    assert np.allclose(j7, 7.0 * j1, rtol=1e-12, atol=1e-12)
-
-
 def test_fisher_mc_matches_analytic(local_set):
     rng = np.random.default_rng(32)
     m = random_model(4, rng, lam=2000.0)
@@ -220,19 +212,12 @@ def test_pure_state_dead_rows_excluded(local_set):
     assert w[0] > -1e-9
 
 
-def test_fisher_rejects_bad_acquisition_time(local_set):
-    rng = np.random.default_rng(42)
-    m = random_model(4, rng, lam=100.0)
-    with pytest.raises(InvariantViolation):
-        fisher_analytic(m, local_set, acquisition_time=0.0)
-
-
 def test_fisher_report_fields(local_set):
     rng = np.random.default_rng(41)
     m = random_model(2, rng, lam=100.0)
-    fm = fisher_analytic(m, local_set, acquisition_time=2.5)
+    fm = fisher_analytic(m, local_set)
     assert fm.rank_model == 2
-    # total scale: lambda 100 over 2.5 units of time
-    assert fm.acquisition_scale == pytest.approx(250.0)
+    # the model's own scale, lambda 100
+    assert fm.acquisition_scale == pytest.approx(100.0)
     assert fm.entries.shape == (12, 12)
     assert np.array_equal(fm.at_theta, m.params)

@@ -212,3 +212,22 @@ def test_projector_set_from_kets_normalizes():
     assert ok
     for op in pset.operators:
         assert np.trace(op).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_is_named(local_set, bad):
+    ops = np.array(local_set.operators)
+    ops[5, 1, 2] = bad
+    with pytest.raises(InvariantViolation,
+                       match="measurement operator 5 is not finite"):
+        ProjectorSet(name="bad", operators=ops)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_zero_or_non_finite_ket_is_named(bad):
+    kets = [product_ket(lab) for lab in LOCAL_LABELS]
+    kets[3] = np.full(4, bad, dtype=complex)
+    with np.errstate(all="raise"):
+        with pytest.raises(InvariantViolation,
+                           match="ket 3 must be nonzero and finite"):
+            projector_set_from_kets(kets)

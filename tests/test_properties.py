@@ -104,8 +104,9 @@ def test_indefinite_inversion_never_lets_rank_4_win(sets, seed, true_rank,
                                                     set_name, lam):
     # with 16 positive counts and an X_n that is not positive definite,
     # mu_4 <= 0 makes d_3 = d_4 in the proof under _lower_rank_bounds, so
-    # the rank-4 fit loses the rank-3 bound too and fails the bar that
-    # would prune ranks 1-3; the bounds are not built there
+    # the rank-4 fit loses the rank-3 bound too; the bar that would prune
+    # ranks 1-3 fails here even at ll_sat, which no rank-4 model reaches,
+    # and the bounds are not built there
     pset = sets[set_name]
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean_counts(random_model(true_rank, rng, lam),
@@ -126,7 +127,7 @@ def test_indefinite_inversion_never_lets_rank_4_win(sets, seed, true_rank,
     fit = mle(4, counts, pset)      # Newton from the clipped inversion
     assert not _loss_exceeds(n.min(), a[3], ll_sat - fit.log_likelihood)
     bounds = (ll_sat, n.min(), n.sum(), tuple(a[:3]))
-    assert not _rank4_wins(bounds, fit.log_likelihood)
+    assert not _rank4_wins(bounds)
 
 
 @examples(100)

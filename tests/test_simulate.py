@@ -209,8 +209,7 @@ def test_sweep_trial_fit_is_the_standalone_fit():
                 assert rec.result.log_likelihood == alone.log_likelihood
                 bounds = _lower_rank_bounds(
                     _Inversion(rec.counts.astype(float), pset), pset)
-                pruned += bounds is not None and _rank4_wins(
-                    bounds, rec.result.log_likelihood)
+                pruned += bounds is not None and _rank4_wins(bounds)
         if state == "bell":
             assert pruned == 0
         else:
@@ -241,20 +240,62 @@ def test_pruned_sweep_trial_inverts_its_counts_once(monkeypatch):
     monkeypatch.setattr(est, "_solve_counts", solve)
     monkeypatch.setattr(est, "density_from_pauli", pauli)
     monkeypatch.setattr(est, "_newton", unexpected)
-    monkeypatch.setattr(sim, "maice", unexpected)
+    monkeypatch.setattr(est, "maice", unexpected)
     cfg = small_config(acquisition_times=(20.0,), trials=8)
     res = run_sweep(cfg)
     assert all(rec.result.rank == 4 for rec in res.records[0])
     assert calls == {"solve": cfg.trials, "xn": cfg.trials}
 
 
+def test_fallback_sweep_trial_fits_rank_4_once(monkeypatch):
+    # at lambda 1e2 most mixed-state trials have a positive definite
+    # inversion whose bound does not prove rank 4; the trial decides that
+    # from its counts and goes to maice without fitting rank 4 first
+    import tomo2q.estimation as est
+    import tomo2q.simulate as sim
+
+    pset = local_projector_set()
+    rank4 = []
+    real_mle = est.mle
+
+    def counting_mle(rank, *args, **kwargs):
+        rank4.append(rank == 4)
+        return real_mle(rank, *args, **kwargs)
+
+    # every binding a sweep trial could fit through
+    monkeypatch.setattr(est, "mle", counting_mle)
+    monkeypatch.setattr(sim, "mle", counting_mle)
+    cfg = small_config(acquisition_times=(0.2,), trials=6)
+    res = run_sweep(cfg)
+    assert sum(rank4) == cfg.trials
+    undecided = [_lower_rank_bounds(_Inversion(rec.counts.astype(float),
+                                               pset), pset)
+                 for rec in res.records[0]]
+    assert sum(b is not None and not _rank4_wins(b)
+               for b in undecided) > cfg.trials // 2
+
+
+def test_sweep_of_a_cholesky_model_truth():
+    # a CholeskyModel truth is its density matrix: a sweep of the bell
+    # preset's own model draws the same counts as a sweep of the preset
+    bell = preset_state("bell")
+    cfg = small_config(true_state=true_model(bell), trials=3)
+    assert np.allclose(cfg.resolve_state(), bell, atol=1e-12)
+    by_model = run_sweep(cfg)
+    by_name = run_sweep(small_config(true_state="bell", trials=3))
+    for a, b in zip(by_model.records[0], by_name.records[0]):
+        assert np.array_equal(a.counts, b.counts)
+    assert by_model.mean_fidelity == pytest.approx(by_name.mean_fidelity,
+                                                   abs=1e-9)
+
+
 def test_run_sweep_failure_rate_guard(monkeypatch):
     # a mixed-state trial at lambda 1e3 mostly fits rank 4 alone through
     # mle, a bell-state trial goes through maice; either path's
     # non-converged estimates must reach the guard
-    import tomo2q.simulate as sim
+    import tomo2q.estimation as est
 
-    real_maice, real_mle = sim.maice, sim.mle
+    real_maice, real_mle = est.maice, est.mle
 
     def failing_maice(counts, pset, restarts=1):
         best, table = real_maice(counts, pset, restarts=restarts)
@@ -265,8 +306,8 @@ def test_run_sweep_failure_rate_guard(monkeypatch):
         return dataclasses.replace(real_mle(*args, **kwargs),
                                    converged=False)
 
-    monkeypatch.setattr(sim, "maice", failing_maice)
-    monkeypatch.setattr(sim, "mle", failing_mle)
+    monkeypatch.setattr(est, "maice", failing_maice)
+    monkeypatch.setattr(est, "mle", failing_mle)
     for state in ("mixed", "bell"):
         with pytest.raises(InvariantViolation,
                            match="failed to converge at lambda=1000"):
