@@ -1,12 +1,12 @@
 """Poisson likelihood, rank-model MLE, AIC, and minimum-AIC selection.
 
 Counts at the 16 projector settings are independent Poisson variables
-with means M_nu = Tr[P_nu T T*].  The log-likelihood keeps the full
-ln(n!) normalization so that absolute AIC values are comparable across
-analyses.  Means are clamped at 1e-12 before the logarithm: a
-rank-deficient model that assigns zero mean to a nonzero count then
-scores astronomically badly instead of crashing, and AIC disposes of
-it naturally.
+with means M_nu = Tr[P_nu T T*].  One kernel, `_poisson`, computes the
+log-likelihood, with the full ln(n!) normalization so that absolute AIC
+values are comparable across analyses.  It clamps the means at
+MEAN_CLAMP before the logarithm: a rank-deficient model that assigns
+zero mean to a nonzero count then scores astronomically badly instead
+of crashing, and AIC disposes of it naturally.
 
 The counts determine the unnormalized linear inversion X_n, whose
 means Tr[P_nu X_n] are the counts themselves; `_Inversion` builds it
@@ -41,7 +41,8 @@ solves for the step.  Newton calls them through numpy's gufuncs
 and `np.linalg.solve`, because those wrappers' per-call checks and
 error-state setup took longer than the factorizations themselves.  Both
 factorizations stay: solving with the Cholesky factor would change the
-step's last bits, and with them the optima the fits reach.
+step's last bits, and with them the optima the fits reach, and numpy
+has no triangular-solve gufunc to do it with.
 """
 
 import functools
@@ -56,9 +57,9 @@ from ._bfgs import minimize
 from .exceptions import InvariantViolation
 # linear_tomography stays importable here because perfbench's tracing
 # patches it; the fits solve for the inversion in `_solve_counts`
-from .projectors import (_check_count_vector, check_counts,
+from .projectors import (MEAN_CLAMP, _check_count_vector, check_counts,
                          linear_tomography,  # noqa: F401
-                         mean_counts, means_and_derivatives)
+                         mean_counts)
 from .states import (
     CholeskyModel,
     RANK_NPARAMS,
@@ -69,7 +70,6 @@ from .states import (
     params_from_triangular,
 )
 
-MEAN_CLAMP = 1e-12
 # per unit of total count: how far the rank 1-3 likelihood bound must
 # trail a rank-4 fit before `_rank4_wins` lets the fit stand for MAICE's
 # pick; orders of magnitude above a log-likelihood's round-off and the
@@ -112,8 +112,7 @@ def log_likelihood(model, counts, pset):
     """Poisson log-likelihood sum_nu [-M + n ln M - ln n!]; `counts` may
     also be expected counts."""
     n = _check_count_vector(counts)
-    m = np.maximum(mean_counts(model, pset), MEAN_CLAMP)
-    return float(np.sum(-m + n * np.log(m)) - _log_factorials(n))
+    return -float(_poisson(n, mean_counts(model, pset), _log_factorials(n))[0])
 
 
 def _log_factorials(n):
@@ -122,18 +121,24 @@ def _log_factorials(n):
 
 
 def log_likelihood_gradient(model, counts, pset):
-    """Closed-form score sum_nu (n/M - 1) dM/dtheta."""
-    n = _check_count_vector(counts)
-    m, dm = means_and_derivatives(model.params, pset)
-    return (n / np.maximum(m, MEAN_CLAMP) - 1.0) @ dm
+    """Closed-form score sum_nu (n/M - 1) dM/dtheta, the fits' gradient
+    negated; their lgamma, 0 here, shifts only the objective."""
+    n, q = _check_count_vector(counts), pset.q[len(model.params)]
+    return -_negloglik_and_grad(model.params, n, q, 0.0)[1]
+
+
+def _poisson(n, m, lgamma):
+    """(lgamma - sum_nu (n ln M - M), M): the negative log-likelihood of
+    counts n, lgamma = sum ln(n!), at the means M = max(m, MEAN_CLAMP)."""
+    m = np.maximum(m, MEAN_CLAMP)
+    return lgamma - (n * np.log(m) - m).sum(), m
 
 
 def _negloglik(theta, n, q, lgamma):
     """Negative log-likelihood, the clamped means M and the rows
     theta' Q_nu (half of dM/dtheta), q the rank's block `pset.q[k]`."""
     qt = (q @ theta).reshape(16, len(theta))
-    m = np.maximum(qt @ theta, MEAN_CLAMP)
-    return lgamma - (n * np.log(m) - m).sum(), m, qt
+    return (*_poisson(n, qt @ theta, lgamma), qt)
 
 
 def _negloglik_and_grad(theta, n, q, lgamma):
@@ -141,12 +146,13 @@ def _negloglik_and_grad(theta, n, q, lgamma):
     return f, (1.0 - n / m) @ (2.0 * qt)
 
 
-def _positive_definite(a):
-    """Whether LAPACK's `dpotrf` factors the symmetric matrix `a`, of
-    which it reads the lower triangle.  numpy's `cholesky_lo` fills a
-    failed factor with NaN and raises the invalid flag, so call this
-    under np.errstate(invalid="ignore")."""
-    return not math.isnan(cholesky_lo(a).item(0))
+def _cholesky(a):
+    """The Cholesky factor L, a = L L*, that LAPACK's `potrf` reads off
+    the lower triangle of `a`, or None if `a` is not positive definite.
+    numpy's `cholesky_lo` fills a failed factor with NaN and raises the
+    invalid flag, so call this under np.errstate(invalid="ignore")."""
+    t = cholesky_lo(a)
+    return None if math.isnan(t.real.item(0)) else t
 
 
 def _newton(theta, n, q, lgamma):
@@ -163,14 +169,10 @@ def _newton(theta, n, q, lgamma):
     Returns (theta, f, iterations), f the negative log-likelihood and
     iterations the number of kept steps.
 
-    The shift is added to H's diagonal in place.  LAPACK's `dpotrf`
-    tests definiteness (`_positive_definite`) and `dgesv` solves for the
-    step, both through numpy's gufuncs: `np.linalg.cholesky` and
-    `np.linalg.solve` run the same routines, but their wrappers cost
-    more than these 12-16 dimensional factorizations.  The fit runs
-    under one errstate that ignores the invalid flag of a failed
-    factorization.  The Cholesky factor is not reused to solve for the
-    step, because that would change the step's last bits.
+    The shift is added to H's diagonal in place.  `_cholesky` tests
+    definiteness and `solve1` solves for the step (the module docstring
+    says why through these gufuncs), under one errstate that ignores the
+    invalid flag of a failed factorization.
     """
     k = len(theta)
     q2 = 2.0 * q.reshape(16, k * k)
@@ -193,7 +195,7 @@ def _newton(theta, n, q, lgamma):
             while True:
                 np.add(h_diag, mu * shift, out=a_diag)
                 if not definite:
-                    definite = _positive_definite(a)
+                    definite = _cholesky(a) is not None
                 if definite:
                     trial = theta - solve1(a, g)
                     f_trial, m_trial, qt_trial = _negloglik(trial, n, q,
@@ -238,9 +240,7 @@ class _Inversion:
             self.xn = density_from_pauli(self.x)
             if n.min() > 0.0:
                 with np.errstate(invalid="ignore"):
-                    t = cholesky_lo(self.xn)
-                if not math.isnan(t.real.item(0)):
-                    self.factor = t
+                    self.factor = _cholesky(self.xn)
 
     @functools.cached_property
     def clipped(self):
@@ -473,7 +473,7 @@ def _lower_rank_bounds(inv, pset):
     if inv.factor is None:
         return None
     n = inv.n
-    ll_sat = float(np.sum(n * np.log(n) - n)) - inv.lgamma
+    ll_sat = -float(_poisson(n, n, inv.lgamma)[0])
     mu = np.linalg.eigvalsh(inv.xn).tolist()[::-1]
     s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False).item(-1)
     a = tuple(2.0 * s * s * sum(m * m for m in mu[r:]) for r in (1, 2, 3))

@@ -22,8 +22,7 @@ from .exceptions import (
     InvariantViolation,
     UnboundedInformationError,
 )
-from .estimation import MEAN_CLAMP
-from .projectors import means_and_derivatives
+from .projectors import MEAN_CLAMP, means_and_derivatives
 from .states import T_BASIS, density_from_cholesky, triangular
 
 _SYM_TOL = 1e-10

@@ -15,7 +15,8 @@ M_nu = theta^T Q_nu theta, Q_nu[i, j] = Re Tr[M_nu E_i E_j^dag]. A rank-k
 model's Q is the leading k x k block of the rank-4 forms; each
 ProjectorSet stacks those blocks once per k into one (16 k, k) array.
 A ProjectorSet is immutable, arrays included, so the two built-in sets
-are process-wide constants, each built on its first use.
+are process-wide constants, each built on its first use.  MEAN_CLAMP,
+the floor of a mean that is divided by or logged, lives with the means.
 """
 
 import functools
@@ -177,11 +178,14 @@ def completeness_check(pset):
     return complete, cond
 
 
+MEAN_CLAMP = 1e-12
+
+
 def means_and_derivatives(theta, pset):
     """Means M_nu = theta^T Q_nu theta of the rank model with len(theta)
     parameters, and their gradients dM[nu, i] = dM_nu/dtheta_i.
 
-    M can dip below zero by round-off; callers clamp it.
+    M can dip below zero by round-off; callers clamp it at MEAN_CLAMP.
     """
     k = len(theta)
     qt = (pset.q[k] @ theta).reshape(16, k)

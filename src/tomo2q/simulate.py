@@ -86,6 +86,11 @@ class SimulationConfig:
     epsilon: float = None
 
     def __post_init__(self):
+        if not (isinstance(self.true_state, CholeskyModel) or isinstance(
+                self.true_state, str) and self.true_state in _PRESET_EPS):
+            raise InvariantViolation(
+                "true_state must be mixed, product, bell or a CholeskyModel, "
+                f"got {self.true_state!r}")
         if not (_is_real(self.rate) and 0 < self.rate < math.inf):
             raise InvariantViolation("rate must be a positive finite number")
         if not _is_integer(self.trials) or self.trials < 1:
@@ -107,11 +112,10 @@ class SimulationConfig:
             raise InvariantViolation("epsilon must be a number")
 
     def resolve_state(self):
+        """The truth's density matrix, checked by check_density."""
         if isinstance(self.true_state, CholeskyModel):
-            return density_from_cholesky(self.true_state)
-        rho = preset_state(self.true_state, self.epsilon)
-        check_density(rho)
-        return rho
+            return check_density(density_from_cholesky(self.true_state))
+        return check_density(preset_state(self.true_state, self.epsilon))
 
     def resolve_set(self):
         return (local_projector_set() if self.basis == "local"
@@ -189,7 +193,7 @@ def run_sweep(config):
     estimate fails with InvariantViolation (16 zero counts) ends the
     sweep with an error that names its lambda and trial index.
     """
-    rho_true = check_density(config.resolve_state())
+    rho_true = config.resolve_state()
     sqrt_true = psd_sqrt(rho_true)
     pset = config.resolve_set()
     model_true = true_model(rho_true)
@@ -201,7 +205,6 @@ def run_sweep(config):
         [], [], [], [], [], []
     for li, lam in enumerate(lam_values):
         recs = []
-        thetas = []
         for ti in range(config.trials):
             rng = np.random.default_rng([config.seed, li, ti])
             counts = sample_counts(rho_true, pset, lam, rng)
@@ -215,22 +218,21 @@ def run_sweep(config):
             recs.append(TrialRecord(
                 trial_index=ti, counts=counts, result=res,
                 fidelity_to_true=f, bures_sq_to_true=2.0 * (1.0 - f)))
-            if res.converged:
-                padded = np.zeros(16)
-                padded[:len(res.theta_hat)] = res.theta_hat
-                thetas.append(padded)
-        n_fail = sum(1 for r in recs if not r.result.converged)
+        good = [r for r in recs if r.result.converged]
+        n_fail = len(recs) - len(good)
         if n_fail > 0.05 * config.trials:
             raise InvariantViolation(
                 f"{n_fail}/{config.trials} estimates failed to converge "
                 f"at lambda={lam:g}")
-        good = [r for r in recs if r.result.converged]
-        fvals = np.array([r.fidelity_to_true for r in good])
-        bvals = np.array([r.bures_sq_to_true for r in good])
+        rows = np.zeros((len(good), 18))  # fidelity, Bures, padded theta
+        for row, r in zip(rows, good):
+            theta = r.result.theta_hat
+            row[:2 + len(theta)] = (r.fidelity_to_true, r.bures_sq_to_true,
+                                    *theta)
+        fvals, bvals, tarr = rows[:, 0], rows[:, 1], rows[:, 2:]
         means_f.append(fvals.mean())
         means_b.append(bvals.mean())
         stds_b.append(bvals.std(ddof=1) if len(bvals) > 1 else 0.0)
-        tarr = np.array(thetas)
         covs.append(float(np.trace(np.cov(tarr.T))) if len(tarr) > 1
                     else 0.0)
         records_all.append(tuple(recs))

@@ -135,17 +135,22 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
                                   '{"true_state": "bell", "epsilon": "x"}',
                                   '{"rate": true, "trials": true, '
                                   '"acquisition_times": [true], '
-                                  '"seed": false}'],
+                                  '"seed": false}',
+                                  '{"true_state": [1], "trials": 2, '
+                                  '"acquisition_times": [2.0]}'],
                          ids=["invalid-json", "top-level-list",
                               "string-trials", "string-rate",
                               "scalar-times", "string-epsilon",
-                              "boolean-numbers"])
+                              "boolean-numbers", "list-true-state"])
 def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
+    # one error line; an error main does not catch would raise here
+    # instead, where the command line prints its traceback
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     rc = main(["simulate", "--config", str(cfg)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare-bases"])

@@ -9,13 +9,13 @@ from tomo2q.estimation import (
     _NEWTON_MU_MIN,
     _Inversion,
     _canonical_gauge,
+    _cholesky,
     _log_factorials,
     _loss_exceeds,
     _lower_rank_bounds,
     _negloglik,
     _negloglik_and_grad,
     _newton,
-    _positive_definite,
     _rank4_wins,
     _starts,
     EstimationResult,
@@ -364,9 +364,12 @@ def test_rank_4_fits_are_certified_global_maxima(corpus_tables):
 def test_maice_fits_equal_standalone_fits(corpus_tables):
     # maice's fits share one linear inversion and take their closing
     # log-likelihood and score from one evaluation; each must equal the
-    # standalone fit warm-started from the rank below, and the
-    # log-likelihood must equal log_likelihood's
+    # standalone fit warm-started from the rank below.  log_likelihood
+    # and the fits share one Poisson kernel, so the log-likelihood must
+    # be log_likelihood's to the bit, and the public score the fits'
+    # gradient negated
     for label, pset, counts, table in corpus_tables:
+        n = counts.astype(float)
         warm = None
         for r in table:
             alone = mle(r.rank, counts, pset, warm=warm)
@@ -374,8 +377,14 @@ def test_maice_fits_equal_standalone_fits(corpus_tables):
             assert (r.log_likelihood, r.iterations, r.converged) == (
                 alone.log_likelihood, alone.iterations, alone.converged), \
                 label
-            assert r.log_likelihood == log_likelihood(
-                CholeskyModel(r.rank, r.theta_hat), counts, pset), label
+            model = CholeskyModel(r.rank, r.theta_hat)
+            assert log_likelihood(model, counts, pset).hex() == \
+                r.log_likelihood.hex(), label
+            _, grad = _negloglik_and_grad(r.theta_hat, n,
+                                          pset.q[len(r.theta_hat)],
+                                          _log_factorials(n))
+            assert np.array_equal(
+                log_likelihood_gradient(model, counts, pset), -grad), label
             warm = r.theta_hat
 
 
@@ -548,17 +557,21 @@ def _pivot_cases(k):
 
 
 @pytest.mark.parametrize("k", [12, 15, 16])
-def test_positive_definite_agrees_with_numpy_cholesky(k):
+def test_cholesky_agrees_with_numpy_cholesky(k):
+    # the factor where numpy factors the matrix, None where it raises
     outcomes = {}
     for name, a in _pivot_cases(k).items():
         try:
-            np.linalg.cholesky(a)
-            expected = True
+            expected = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            expected = False
+            expected = None
         with np.errstate(invalid="ignore"):
-            assert _positive_definite(a) is expected, name
-        outcomes[name] = expected
+            got = _cholesky(a)
+        if expected is None:
+            assert got is None, name
+        else:
+            assert np.array_equal(got, expected), name
+        outcomes[name] = expected is not None
     assert outcomes["spd"] and not outcomes["first"]
     assert not (outcomes["last"] or outcomes["zero-last"] or outcomes["zero"])
 

@@ -97,6 +97,13 @@ def test_simulation_config_validation():
                        ("epsilon", False)):
         with pytest.raises(InvariantViolation):
             small_config(**{field: bad})
+    # a truth is checked when the config is built, not when a sweep
+    # resolves it
+    for bad in ([1], {}, "thermal"):
+        with pytest.raises(InvariantViolation,
+                           match="true_state must be mixed, product, bell "
+                                 "or a CholeskyModel"):
+            small_config(true_state=bad)
 
 
 def test_seeds_beyond_31_bits_draw_their_own_counts():
