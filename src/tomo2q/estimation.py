@@ -9,14 +9,21 @@ zero mean to a nonzero count then scores astronomically badly instead
 of crashing, and AIC disposes of it naturally.
 
 The counts determine the unnormalized linear inversion X_n, whose
-means Tr[P_nu X_n] are the counts themselves; `_Inversion` builds it
-once per count table, for `maice`'s four fits or a sweep trial's bound
-and fit.  Where X_n is positive definite it is a rank-4 model with
-M = n, the saturated fit, which no model exceeds: the rank-4 fit is
-then X_n's Cholesky factor, with 0 iterations.  A sweep trial
-(`_maice_pick`) first asks, from its counts alone, whether a bound on
-ranks 1-3 proves that the saturated fit wins the AIC, and only then
-fits: rank 4 alone, or all four in `maice`.  Every other fit starts
+means Tr[P_nu X_n] are the counts themselves; `_invert` builds it, and
+its Cholesky factor, for a stack of count tables at once, and
+`_Inversion` is one table's, shared by `maice`'s four fits.  Where X_n
+is positive definite it is a rank-4 model with M = n, the saturated
+fit, which no model exceeds: the rank-4 fit is then X_n's Cholesky
+factor, with 0 iterations, read off a stack of factors by
+`_saturated_fits`, `mle`'s on a stack of one.  A sweep
+(`_closed_form_step`) draws all its trials' counts first and decides
+and fits the whole stack: it asks, from each trial's counts alone,
+whether a bound on ranks 1-3 proves that the saturated fit wins the
+AIC, fits the members it proves in closed form, and leaves every other
+member to its own `maice` fit.  Every step on a stack works member by
+member, a LAPACK gufunc or one vector-matrix product per row, so a
+member's fit has the bits of its fit alone.
+Every other fit starts
 from the inversion clipped to the PSD cone, diagonalized once per
 table, each rank truncating that eigendecomposition, and from `warm`,
 in `maice` the fit of the rank below.  Ranks 1-3 also start from
@@ -63,11 +70,13 @@ from .projectors import (MEAN_CLAMP, _check_count_vector, check_counts,
 from .states import (
     CholeskyModel,
     RANK_NPARAMS,
+    T_BASIS,
+    _cholesky_densities,
     _cholesky_from_eigh,
+    _pauli_densities,
     check_density,
     density_from_cholesky,
     density_from_pauli,
-    params_from_triangular,
 )
 
 # per unit of total count: how far the rank 1-3 likelihood bound must
@@ -213,34 +222,53 @@ def _newton(theta, n, q, lgamma):
     return theta, f, iterations
 
 
-def _solve_counts(n, pset):
-    """x solving B x = n, or None for an incomplete set: the Pauli
-    coefficients of the unnormalized linear inversion
-    X_n = sum_mu x_mu Gamma_mu, whose means Tr[P_nu X_n] are the counts.
-    `linear_tomography` is x split into (x / x_0, x_0)."""
-    return np.linalg.solve(pset.b, n) if pset.complete else None
+def _solve_counts(ns, pset):
+    """The rows x solving B x = n for the rows n of the (m, 16) stack
+    ns, or None for an incomplete set: the Pauli coefficients of the
+    unnormalized linear inversions X_n = sum_mu x_mu Gamma_mu, whose
+    means Tr[P_nu X_n] are the counts.  `linear_tomography` is x split
+    into (x / x_0, x_0)."""
+    return solve1(pset.b, ns) if pset.complete else None
+
+
+def _invert(ns, pset):
+    """(x, X_n, L, ok) for the (m, 16) stack ns of count vectors: the
+    rows x of `_solve_counts`, the inversions X_n and their Cholesky
+    factors L, X_n = L L*, each an (m, ...) stack, and the boolean mask
+    ok of the members whose 16 counts are positive and whose X_n is
+    positive definite.  `cholesky_lo` fills a failed member's factor
+    with NaN, which is how ok reads it.  x, X_n and L are None for an
+    incomplete set, and ok is all False."""
+    x = _solve_counts(ns, pset)
+    if x is None:
+        return None, None, None, np.zeros(len(ns), dtype=bool)
+    xn = _pauli_densities(x)
+    with np.errstate(invalid="ignore"):
+        factors = cholesky_lo(xn)
+    ok = (ns.min(axis=1) > 0.0) & ~np.isnan(factors[:, 0, 0].real)
+    return x, xn, factors, ok
 
 
 class _Inversion:
     """What one count table's fits share: the counts n (floats), lgamma
-    = sum ln(n!), x = `_solve_counts(n, pset)` and X_n (xn), both None
-    for an incomplete set, and `factor`.  `factor` is X_n's Cholesky
-    factor L, X_n = L L*, or None unless the set is complete, all 16
-    counts are positive and X_n is positive definite: L is then a rank-4
-    model with M = n, the saturated fit, above every other model, with
-    a real positive diagonal, the canonical gauge.  `clipped` is built
-    on first use, as the closed form takes no start."""
+    = sum ln(n!), x = `_solve_counts` of n and X_n (xn), both None for
+    an incomplete set, and `factor`, all from `_invert` on a stack of
+    one.  `factor` is X_n's Cholesky factor L, X_n = L L*, or None
+    unless the set is complete, all 16 counts are positive and X_n is
+    positive definite: L is then a rank-4 model with M = n, the
+    saturated fit, above every other model, with a real positive
+    diagonal, the canonical gauge.  `clipped` is built on first use, as
+    the closed form takes no start."""
 
     def __init__(self, n, pset):
         self.n = n
         self.lgamma = _log_factorials(n)
-        self.x = _solve_counts(n, pset)
-        self.xn = self.factor = None
-        if self.x is not None:
-            self.xn = density_from_pauli(self.x)
-            if n.min() > 0.0:
-                with np.errstate(invalid="ignore"):
-                    self.factor = _cholesky(self.xn)
+        self.x = self.xn = self.factor = None
+        x, xn, factors, ok = _invert(n[None], pset)
+        if x is not None:
+            self.x, self.xn = x[0], xn[0]
+            if ok[0]:
+                self.factor = factors[0]
 
     @functools.cached_property
     def clipped(self):
@@ -336,7 +364,7 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     vanishes at the result, for the closed form too; `iterations` sums
     the solver's iterations over the starts.
     `_inversion` is the counts' `_Inversion`, built here when None;
-    `maice` shares one among its fits, a sweep trial with its bound.
+    `maice` shares one among its fits.
     """
     if not _is_integer(rank) or rank not in RANK_NPARAMS:
         raise InvariantViolation(
@@ -351,24 +379,29 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     inv = _Inversion(n, pset) if _inversion is None else _inversion
     lgamma = inv.lgamma
     q = pset.q[RANK_NPARAMS[rank]]
-    total_iter = 0
     if rank == 4 and inv.factor is not None:
-        theta = params_from_triangular(inv.factor, 4)
-    else:
-        best_theta, best_f = None, None
-        for x0 in _starts(inv, rank, warm, restarts):
-            if rank == 1:
-                res = minimize(_negloglik_and_grad, x0,
-                               args=(n, q, lgamma), gtol=1e-7, maxiter=2000)
-                end, f, nit = res.x, res.fun, res.nit
-            else:
-                end, f, nit = _newton(x0, n, q, lgamma)
-            total_iter += int(nit)
-            if best_theta is None or f < best_f:
-                best_theta, best_f = end, f
-        theta = _canonical_gauge(best_theta, rank)
+        return _saturated_fits(inv.factor[None], n[None], [lgamma], pset)[0]
+    total_iter = 0
+    best_theta, best_f = None, None
+    for x0 in _starts(inv, rank, warm, restarts):
+        if rank == 1:
+            res = minimize(_negloglik_and_grad, x0,
+                           args=(n, q, lgamma), gtol=1e-7, maxiter=2000)
+            end, f, nit = res.x, res.fun, res.nit
+        else:
+            end, f, nit = _newton(x0, n, q, lgamma)
+        total_iter += int(nit)
+        if best_theta is None or f < best_f:
+            best_theta, best_f = end, f
+    model = CholeskyModel(rank=rank, params=_canonical_gauge(best_theta, rank))
+    return _fit_result(rank, model.params, density_from_cholesky(model), n,
+                       q, lgamma, total_iter)
 
-    model = CholeskyModel(rank=rank, params=theta)
+
+def _fit_result(rank, theta, rho, n, q, lgamma, iterations):
+    """The EstimationResult of the rank fit theta, with state rho, to the
+    counts n, q the rank's block of `pset.q`; `converged` reports
+    whether the score vanishes at theta."""
     f, g = _negloglik_and_grad(theta, n, q, lgamma)
     ll = -float(f)
     converged = max(map(abs, g.tolist())) <= 1e-6 * max(1.0, abs(ll))
@@ -377,11 +410,23 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
         theta_hat=theta,
         log_likelihood=ll,
         aic=aic(ll, rank),
-        rho_hat=density_from_cholesky(model),
-        lambda_hat=model.lambda_scale,
+        rho_hat=rho,
+        lambda_hat=float(theta @ theta),
         converged=converged,
-        iterations=total_iter,
+        iterations=iterations,
     )
+
+
+def _saturated_fits(factors, ns, lgammas, pset):
+    """The closed-form rank-4 fits of the count vectors in the rows of
+    ns, from the (m, 4, 4) stack of their inversions' Cholesky factors
+    L, each positive definite: theta read off L, the states of the
+    stack, and each member's closing score, with 0 iterations."""
+    thetas = np.real(np.einsum("iab,mab->mi", T_BASIS.conj(), factors))
+    rhos = _cholesky_densities(thetas)
+    q = pset.q[RANK_NPARAMS[4]]
+    return [_fit_result(4, theta, rho, n, q, lgamma, 0)
+            for theta, rho, n, lgamma in zip(thetas, rhos, ns, lgammas)]
 
 
 def _canonical_gauge(theta, rank):
@@ -433,12 +478,22 @@ def maice(counts, pset, restarts=_N_RESTARTS):
 
 
 def _lower_rank_bounds(inv, pset):
-    """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for the counts of the
-    `_Inversion` inv, ll_sat the saturated log-likelihood (every mean
-    equal to its count): every rank-r model, r = 1, 2, 3, falls short of
-    ll_sat by at least L(a_r) = max_c min(n_min h(c), a_r / c).  None
+    """`_rank_bounds` of the counts of the `_Inversion` inv, or None
     unless `inv.factor` exists: the set is complete, all 16 counts are
-    positive and X_n is positive definite.
+    positive and X_n is positive definite."""
+    if inv.factor is None:
+        return None
+    return _rank_bounds(inv.n[None], inv.xn[None], [inv.lgamma], pset)[0]
+
+
+def _rank_bounds(ns, xns, lgammas, pset):
+    """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for each count vector
+    n in the rows of ns, with X_n in xns and sum ln(n!) in lgammas,
+    ll_sat the saturated log-likelihood (every mean equal to its
+    count): every rank-r model, r = 1, 2, 3, falls short of ll_sat by
+    at least L(a_r) = max_c min(n_min h(c), a_r / c).  The set must be
+    complete, and every member's 16 counts positive; the bar of
+    `_rank4_wins` needs X_n positive definite too.
 
     Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
     ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
@@ -470,14 +525,15 @@ def _lower_rank_bounds(inv, pset):
     bar L(a_3) > ll_sat - ll4 + 1 + margin that `_rank4_wins` asks at
     ll4 = ll_sat.
     """
-    if inv.factor is None:
-        return None
-    n = inv.n
-    ll_sat = -float(_poisson(n, n, inv.lgamma)[0])
-    mu = np.linalg.eigvalsh(inv.xn).tolist()[::-1]
-    s = np.linalg.svd(pset.b / np.sqrt(n)[:, None], compute_uv=False).item(-1)
-    a = tuple(2.0 * s * s * sum(m * m for m in mu[r:]) for r in (1, 2, 3))
-    return ll_sat, float(n.min()), float(n.sum()), a
+    mus = np.linalg.eigvalsh(xns)[:, ::-1].tolist()
+    ss = np.linalg.svd(pset.b / np.sqrt(ns)[:, :, None],
+                       compute_uv=False)[:, -1].tolist()
+    bounds = []
+    for n, lgamma, mu, s in zip(ns, lgammas, mus, ss):
+        ll_sat = -float(_poisson(n, n, lgamma)[0])
+        a = tuple(2.0 * s * s * sum(m * m for m in mu[r:]) for r in (1, 2, 3))
+        bounds.append((ll_sat, float(n.min()), float(n.sum()), a))
+    return bounds
 
 
 def _loss_exceeds(n_min, a, loss):
@@ -490,10 +546,10 @@ def _loss_exceeds(n_min, a, loss):
 
 
 def _rank4_wins(bounds):
-    """Whether `_lower_rank_bounds`'s `bounds` prove that the saturated
-    fit, the closed-form rank-4 fit, has a lower AIC than every rank 1-3
-    model: each rank-r model must fall short of ll_sat by more than
-    k_4 - k_r plus _BOUND_MARGIN per count, which covers the closed
+    """Whether one member's `bounds` from `_rank_bounds` prove that the
+    saturated fit, the closed-form rank-4 fit, has a lower AIC than every
+    rank 1-3 model: each rank-r model must fall short of ll_sat by more
+    than k_4 - k_r plus _BOUND_MARGIN per count, which covers the closed
     form's round-off below ll_sat and leaves no tie to fewer
     parameters."""
     _, n_min, n_total, a = bounds
@@ -503,14 +559,27 @@ def _rank4_wins(bounds):
                for r, a_r in zip((1, 2, 3), a))
 
 
-def _maice_pick(counts, pset, restarts):
-    """`maice(counts, pset, restarts)`'s pick, decided before any fit:
-    the closed-form `mle(4, ...)` on the counts' one `_Inversion` when
-    `_rank4_wins` passes its bounds, else `maice`'s.  Where X_n is not
-    positive definite no rank-4 fit could pass (see `_lower_rank_bounds`).
+def _closed_form_step(ns, pset, prune):
+    """The closed-form rank-4 step of a sweep, on the (m, 16) stack ns of
+    count vectors: for each member its `_saturated_fits` result, or None
+    where the member needs a fit that iterates.  The linear algebra runs
+    once on the stack, the scalar bound and closing score per member.
+    Where X_n is positive definite the result is `mle(4, n, pset)`;
+    with `prune` it must also pass `_rank4_wins`, and is then
+    `maice(n, pset, restarts)`'s pick, for any restarts.  Where X_n is
+    not positive definite no rank-4 fit could pass (see `_rank_bounds`).
     """
-    inv = _Inversion(np.asarray(counts, dtype=float), pset)
-    bounds = _lower_rank_bounds(inv, pset)
-    if bounds is not None and _rank4_wins(bounds):
-        return mle(4, counts, pset, _inversion=inv)
-    return maice(counts, pset, restarts)[0]
+    results = [None] * len(ns)
+    _, xns, factors, ok = _invert(ns, pset)
+    idx = np.flatnonzero(ok)
+    lgammas = [_log_factorials(n) for n in ns[idx]]
+    if prune and idx.size:
+        wins = [_rank4_wins(b)
+                for b in _rank_bounds(ns[idx], xns[idx], lgammas, pset)]
+        idx = idx[wins]
+        lgammas = [lg for lg, w in zip(lgammas, wins) if w]
+    if idx.size:
+        fits = _saturated_fits(factors[idx], ns[idx], lgammas, pset)
+        for i, res in zip(idx.tolist(), fits):
+            results[i] = res
+    return results

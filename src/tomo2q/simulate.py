@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# a MAICE trial's fits run in estimation._maice_pick, and run_sweep takes
-# the truth's square root once and derives the Bures distance from the
-# fidelity it has; maice, fidelity and bures_distance_sq stay importable
-# here because perfbench's tracing patches them
-from .estimation import (EstimationResult, _is_integer, _maice_pick,
-                         maice,  # noqa: F401
-                         mle)
+# run_sweep takes the truth's square root once and derives the Bures
+# distance from the fidelity it has; fidelity and bures_distance_sq stay
+# importable here because perfbench's tracing patches them
+from .estimation import (EstimationResult, _closed_form_step, _is_integer,
+                         maice, mle)
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
 from .projectors import (
@@ -35,7 +33,8 @@ from .projectors import (
 )
 from .states import (
     CholeskyModel,
-    _fidelity_of_sqrt,
+    _density_errors,
+    _fidelities_of_sqrt,
     bures_distance_sq,  # noqa: F401
     check_density,
     cholesky_from_density,
@@ -47,13 +46,17 @@ from .states import (
 _PRESET_EPS = {"mixed": 0.0, "product": 0.05, "bell": 0.05}
 _SWEEP_RESTARTS = 1     # jittered extra starts per rank 1-3 fit in a sweep
 _INT64_MAX = int(np.iinfo(np.int64).max)    # largest count read_counts keeps
+_EPSILON_APPLIES = "epsilon applies only to the product and bell presets"
 
 
 def preset_state(name, epsilon=None):
-    """Canonical analog states: mixed, product, bell."""
+    """Canonical analog states: mixed, product, bell.  `epsilon`, the
+    weight of the white noise, applies to product and bell only."""
     if name not in _PRESET_EPS:
         raise InvariantViolation(
             f"unknown preset {name!r}; choose mixed, product, or bell")
+    if name == "mixed" and epsilon is not None:
+        raise InvariantViolation(_EPSILON_APPLIES)
     eps = _PRESET_EPS[name] if epsilon is None else float(epsilon)
     if not 0.0 <= eps < 1.0:
         raise InvariantViolation("epsilon must lie in [0, 1)")
@@ -110,6 +113,9 @@ class SimulationConfig:
             raise InvariantViolation("seed must be a non-negative integer")
         if not (self.epsilon is None or _is_real(self.epsilon)):
             raise InvariantViolation("epsilon must be a number")
+        if self.epsilon is not None and self.true_state not in (
+                "product", "bell"):
+            raise InvariantViolation(_EPSILON_APPLIES)
 
     def resolve_state(self):
         """The truth's density matrix, checked by check_density."""
@@ -181,17 +187,24 @@ def run_sweep(config):
     """Monte Carlo sweep over the acquisition-time grid.
 
     Each trial's estimate is `mle(4, ...)` for the mle16 estimator and
-    MAICE's pick for maice (`estimation._maice_pick`).  Where the linear
-    inversion is positive definite the rank-4 fit, for both estimators,
-    is the closed-form saturated MLE with 0 iterations.  A MAICE trial
-    first asks a closed-form test on a likelihood bound, computed from
-    its counts alone, whether that fit wins the AIC comparison, as it
-    does in most trials of a full-rank truth at lambda >= 1e3; then it
-    fits rank 4 alone, the same fit `maice` picks, or all four ranks.
-    The built-in projector set is a shared constant, and the truth's
-    square root is taken once for all fidelities.  A trial whose
-    estimate fails with InvariantViolation (16 zero counts) ends the
-    sweep with an error that names its lambda and trial index.
+    `maice`'s pick for maice.  The sweep first draws every trial's
+    counts, each from its own generator.  Then one closed-form rank-4
+    step (`estimation._closed_form_step`) runs on the whole stack of
+    count vectors: where a trial's linear inversion is positive
+    definite, its rank-4 fit is the closed-form saturated MLE with 0
+    iterations, and that fit is the mle16 estimate.  A MAICE trial keeps
+    it only where a closed-form test on a likelihood bound, computed
+    from the counts alone, proves that it wins the AIC comparison, as
+    it does in most trials of a full-rank truth at lambda >= 1e3.  Every
+    other trial falls back to its own `mle(4, ...)` or `maice` fit.  The
+    estimates' density checks and fidelities to the truth, whose square
+    root is taken once, run on one stack too.  A trial whose estimate
+    fails with InvariantViolation (16 zero counts, or a `rho_hat` that
+    fails check_density) ends the sweep with an error that names its
+    lambda and trial index; as all counts are drawn first, a count that
+    cannot be drawn ends it before any estimate.  Every estimate is the
+    one its counts alone give, so the stacking changes no bit of the
+    result.
     """
     rho_true = config.resolve_state()
     sqrt_true = psd_sqrt(rho_true)
@@ -201,29 +214,45 @@ def run_sweep(config):
 
     lam_values = np.array(sorted(config.rate * t
                                  for t in config.acquisition_times))
-    means_f, means_b, stds_b, covs, records_all, excluded = \
-        [], [], [], [], [], []
+    trials, pick = config.trials, config.estimator == "maice"
+    counts = [sample_counts(rho_true, pset, lam,
+                            np.random.default_rng([config.seed, li, ti]))
+              for li, lam in enumerate(lam_values) for ti in range(trials)]
+    fits = _closed_form_step(np.array(counts, dtype=float), pset, pick)
+    excluded = []
     for li, lam in enumerate(lam_values):
-        recs = []
-        for ti in range(config.trials):
-            rng = np.random.default_rng([config.seed, li, ti])
-            counts = sample_counts(rho_true, pset, lam, rng)
-            try:
-                res = (mle(4, counts, pset) if config.estimator == "mle16"
-                       else _maice_pick(counts, pset, _SWEEP_RESTARTS))
-            except InvariantViolation as e:
-                raise InvariantViolation(
-                    f"lambda={lam:g}, trial {ti}: {e}") from None
-            f = _fidelity_of_sqrt(sqrt_true, check_density(res.rho_hat))
-            recs.append(TrialRecord(
-                trial_index=ti, counts=counts, result=res,
-                fidelity_to_true=f, bures_sq_to_true=2.0 * (1.0 - f)))
-        good = [r for r in recs if r.result.converged]
-        n_fail = len(recs) - len(good)
-        if n_fail > 0.05 * config.trials:
+        for ti in range(trials):
+            k = li * trials + ti
+            if fits[k] is None:
+                try:
+                    fits[k] = (maice(counts[k], pset, _SWEEP_RESTARTS)[0]
+                               if pick else mle(4, counts[k], pset))
+                except InvariantViolation as e:
+                    raise InvariantViolation(
+                        f"lambda={lam:g}, trial {ti}: {e}") from None
+        n_fail = sum(not r.converged
+                     for r in fits[li * trials:(li + 1) * trials])
+        if n_fail > 0.05 * trials:
             raise InvariantViolation(
-                f"{n_fail}/{config.trials} estimates failed to converge "
+                f"{n_fail}/{trials} estimates failed to converge "
                 f"at lambda={lam:g}")
+        excluded.append(n_fail)
+    rhos = np.array([r.rho_hat for r in fits])
+    for k, error in enumerate(_density_errors(rhos)):
+        if error is not None:
+            li, ti = divmod(k, trials)
+            raise InvariantViolation(
+                f"lambda={lam_values[li]:g}, trial {ti}: {error}")
+    fids = _fidelities_of_sqrt(sqrt_true, rhos)
+
+    means_f, means_b, stds_b, covs, records_all = [], [], [], [], []
+    for li in range(len(lam_values)):
+        recs = tuple(
+            TrialRecord(trial_index=ti, counts=counts[k], result=fits[k],
+                        fidelity_to_true=fids[k],
+                        bures_sq_to_true=2.0 * (1.0 - fids[k]))
+            for ti, k in enumerate(range(li * trials, (li + 1) * trials)))
+        good = [r for r in recs if r.result.converged]
         rows = np.zeros((len(good), 18))  # fidelity, Bures, padded theta
         for row, r in zip(rows, good):
             theta = r.result.theta_hat
@@ -235,8 +264,7 @@ def run_sweep(config):
         stds_b.append(bvals.std(ddof=1) if len(bvals) > 1 else 0.0)
         covs.append(float(np.trace(np.cov(tarr.T))) if len(tarr) > 1
                     else 0.0)
-        records_all.append(tuple(recs))
-        excluded.append(n_fail)
+        records_all.append(recs)
     return SweepResult(
         lam_values=lam_values,
         mean_fidelity=np.array(means_f),

@@ -14,6 +14,12 @@ qubit slowest). Three interchangeable parametrizations are provided:
 
 The metrics run check_density, which tolerates eigenvalues down to
 -PSD_CLIP_FLOOR as round-off, and clip those to zero where they use them.
+
+density_from_pauli, density_from_cholesky, check_density and fidelity
+each run a private form that takes a stack of inputs, on a stack of
+one; a sweep runs the same forms on the stack of all its trials.  They
+work member by member, so a member's result has the bits of its result
+alone.
 """
 
 from dataclasses import dataclass
@@ -32,6 +38,7 @@ SIGMA = np.array([
 # Gamma_{4i+j} = (sigma_i (x) sigma_j) / 4; Tr[Gamma_mu Gamma_nu] = delta/4.
 _GAMMA = np.array([np.kron(SIGMA[i], SIGMA[j]) / 4.0
                    for i in range(4) for j in range(4)])
+_GAMMA_ROWS = _GAMMA.reshape(16, 16)
 
 # Eigenvalues in [-PSD_CLIP_FLOOR, 0) are round-off, clipped at the point
 # of use; anything more negative fails check_density.
@@ -119,16 +126,29 @@ def check_density(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > 1e-12:
-        raise InvariantViolation(f"not Hermitian (defect {herm:.2e})")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-12:
-        raise InvariantViolation(f"trace is {tr:.15g}, expected 1")
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -PSD_CLIP_FLOOR:
-        raise InvariantViolation(f"not PSD (eigenvalue {wmin:.2e})")
+    error = _density_errors(rho[None])[0]
+    if error is not None:
+        raise InvariantViolation(error)
     return rho
+
+
+def _density_errors(rhos):
+    """`check_density`'s verdict on each member of an (m, 4, 4) complex
+    stack: None where the member passes, else the message it raises."""
+    herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    tr = np.trace(rhos, axis1=1, axis2=2)
+    wmin = np.linalg.eigvalsh(rhos)[:, 0]
+    errors = []
+    for h, t, w in zip(herm.tolist(), tr.tolist(), wmin.tolist()):
+        if h > 1e-12:
+            errors.append(f"not Hermitian (defect {h:.2e})")
+        elif abs(t - 1.0) > 1e-12:
+            errors.append(f"trace is {t:.15g}, expected 1")
+        elif w < -PSD_CLIP_FLOOR:
+            errors.append(f"not PSD (eigenvalue {w:.2e})")
+        else:
+            errors.append(None)
+    return errors
 
 
 def density_from_pauli(phi):
@@ -137,7 +157,15 @@ def density_from_pauli(phi):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (16,):
         raise InvariantViolation("phi must hold 16 real coefficients")
-    return np.tensordot(phi, _GAMMA, axes=1)
+    return _pauli_densities(phi[None])[0]
+
+
+def _pauli_densities(phis):
+    """`density_from_pauli` of each row of an (m, 16) stack.  Each row
+    is its own vector-matrix product, which keeps a member's bits
+    independent of the stack around it; one matrix product of the stack
+    sums some entries in another order."""
+    return (phis[:, None, :] @ _GAMMA_ROWS).reshape(-1, 4, 4)
 
 
 def pauli_coefficients(rho):
@@ -148,14 +176,21 @@ def pauli_coefficients(rho):
 
 def density_from_cholesky(model):
     """rho = T T^dag / Tr[T T^dag]; PSD with unit trace for any real theta."""
-    t = triangular(model)
-    g = t @ t.conj().T
-    lam = np.trace(g).real
-    if lam <= 0.0:
+    return _cholesky_densities(model.params[None])[0]
+
+
+def _cholesky_densities(thetas):
+    """`density_from_cholesky` of each row of an (m, k) stack of
+    rank-k parameter vectors, each T built by its own vector-matrix
+    product, as in `_pauli_densities`."""
+    t = (thetas[:, None, :] @ _T_ROWS[:thetas.shape[1]]).reshape(-1, 4, 4)
+    g = t @ t.conj().transpose(0, 2, 1)
+    lam = np.trace(g, axis1=1, axis2=2).real
+    if min(lam.tolist()) <= 0.0:
         raise DegenerateModelError("Tr[T T^dag] vanished")
-    rho = g / lam
+    rho = g / lam[:, None, None]
     # exact Hermitization kills float round-off at the 1e-17 level
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
 
 def cholesky_from_density(rho, lam, rank=4):
@@ -201,15 +236,15 @@ def psd_sqrt(m):
 def fidelity(rho1, rho2):
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1]."""
     rho1 = check_density(rho1)
-    return _fidelity_of_sqrt(psd_sqrt(rho1), check_density(rho2))
+    return _fidelities_of_sqrt(psd_sqrt(rho1), check_density(rho2)[None])[0]
 
 
-def _fidelity_of_sqrt(s, rho2):
-    """`fidelity(rho1, rho2)` from s = psd_sqrt(rho1), for a caller that
-    compares one rho1 with many checked density matrices rho2."""
-    w = np.linalg.eigvalsh(s @ rho2 @ s)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    return min(max(f, 0.0), 1.0)
+def _fidelities_of_sqrt(s, rhos):
+    """`fidelity(rho1, rho2)` for each member rho2 of an (m, 4, 4) stack
+    of checked density matrices, from s = psd_sqrt(rho1), as a list."""
+    w = np.linalg.eigvalsh(s @ rhos @ s)
+    f = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+    return [min(max(v, 0.0), 1.0) for v in f.tolist()]
 
 
 def bures_distance_sq(rho1, rho2):

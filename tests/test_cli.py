@@ -153,6 +153,20 @@ def test_simulate_malformed_config_is_an_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_simulate_epsilon_of_the_mixed_state_is_an_error(tmp_path, capsys):
+    # the mixed state has no noise weight, so --eps would be ignored
+    out = tmp_path / "out.csv"
+    rc = main(["simulate", "--state", "mixed", "--rate", "500", "--times",
+               "2", "--trials", "3", "--seed", "1", "--eps", "0.3",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: epsilon applies only to the product and bell presets"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare-bases"])
 def test_empty_acquisition_grid_is_an_error(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"

@@ -308,9 +308,19 @@ def _simulate_config(file_values, flag_values):
        in_file=st.sets(st.sampled_from(sorted(_SWEEP_FIELDS))),
        in_flags=st.sets(st.sampled_from(sorted(_SWEEP_FIELDS))))
 def test_config_flags_override_file_values(data, in_file, in_flags):
-    file_values = {k: data.draw(_SWEEP_FIELDS[k][1]) for k in sorted(in_file)}
-    flag_values = {k: data.draw(_SWEEP_FIELDS[k][1])
-                   for k in sorted(in_flags)}
+    # epsilon applies to product and bell only, so a config that sets it
+    # sets one of them as its truth, wherever the truth comes from
+    noisy = "epsilon" in in_file | in_flags
+    if noisy and "true_state" not in in_file | in_flags:
+        in_flags = in_flags | {"true_state"}
+
+    def draw(k):
+        if noisy and k == "true_state":
+            return data.draw(st.sampled_from(["product", "bell"]))
+        return data.draw(_SWEEP_FIELDS[k][1])
+
+    file_values = {k: draw(k) for k in sorted(in_file)}
+    flag_values = {k: draw(k) for k in sorted(in_flags)}
     cfg = _simulate_config(file_values, flag_values)
     want = {**SimulationConfig().__dict__, **file_values, **flag_values}
     want["acquisition_times"] = tuple(want["acquisition_times"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tomo2q.estimation import (_Inversion, _lower_rank_bounds, _rank4_wins,
-                               maice)
+                               maice, mle)
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -68,6 +68,10 @@ def test_preset_state_rejects_bad_input():
         preset_state("thermal")
     with pytest.raises(InvariantViolation):
         preset_state("bell", epsilon=1.5)
+    # the mixed state has no noise weight to set
+    for eps in (0.0, 0.3):
+        with pytest.raises(InvariantViolation, match="epsilon applies only"):
+            preset_state("mixed", eps)
 
 
 def test_simulation_config_validation():
@@ -98,7 +102,11 @@ def test_simulation_config_validation():
         with pytest.raises(InvariantViolation):
             small_config(**{field: bad})
     # a truth is checked when the config is built, not when a sweep
-    # resolves it
+    # resolves it; so is an epsilon that it would ignore
+    for truth in ("mixed", true_model(preset_state("bell"))):
+        with pytest.raises(InvariantViolation, match="epsilon applies only"):
+            small_config(true_state=truth, epsilon=0.3)
+    assert small_config(true_state="product", epsilon=0.3).epsilon == 0.3
     for bad in ([1], {}, "thermal"):
         with pytest.raises(InvariantViolation,
                            match="true_state must be mixed, product, bell "
@@ -224,34 +232,35 @@ def test_sweep_trial_fit_is_the_standalone_fit():
 
 
 def test_pruned_sweep_trial_inverts_its_counts_once(monkeypatch):
-    # every mixed-state trial at lambda 1e4 fits rank 4 alone; its bound
-    # and its closed-form fit share one solve of B x = n and one X_n, and
-    # no Newton step runs
+    # every mixed-state trial at lambda 1e4 fits rank 4 alone; the sweep's
+    # bounds and closed-form fits share one solve of B x = n and one
+    # stack of X_n for all its trials, and no Newton step or maice runs
     import tomo2q.estimation as est
     import tomo2q.simulate as sim
 
-    calls = {"solve": 0, "xn": 0}
-    real_solve, real_pauli = est._solve_counts, est.density_from_pauli
+    rows = {"solve": [], "xn": []}
+    real_solve, real_pauli = est._solve_counts, est._pauli_densities
 
-    def solve(n, pset):
-        calls["solve"] += 1
-        return real_solve(n, pset)
+    def solve(ns, pset):
+        rows["solve"].append(len(ns))
+        return real_solve(ns, pset)
 
     def pauli(x):
-        calls["xn"] += 1
+        rows["xn"].append(len(x))
         return real_pauli(x)
 
     def unexpected(*args, **kwargs):
         raise AssertionError("a pruned trial ran more than its rank-4 fit")
 
     monkeypatch.setattr(est, "_solve_counts", solve)
-    monkeypatch.setattr(est, "density_from_pauli", pauli)
+    monkeypatch.setattr(est, "_pauli_densities", pauli)
     monkeypatch.setattr(est, "_newton", unexpected)
     monkeypatch.setattr(est, "maice", unexpected)
+    monkeypatch.setattr(sim, "maice", unexpected)
     cfg = small_config(acquisition_times=(20.0,), trials=8)
     res = run_sweep(cfg)
     assert all(rec.result.rank == 4 for rec in res.records[0])
-    assert calls == {"solve": cfg.trials, "xn": cfg.trials}
+    assert rows == {"solve": [cfg.trials], "xn": [cfg.trials]}
 
 
 def test_fallback_sweep_trial_fits_rank_4_once(monkeypatch):
@@ -297,28 +306,109 @@ def test_sweep_of_a_cholesky_model_truth():
 
 
 def test_run_sweep_failure_rate_guard(monkeypatch):
-    # a mixed-state trial at lambda 1e3 mostly fits rank 4 alone through
-    # mle, a bell-state trial goes through maice; either path's
-    # non-converged estimates must reach the guard
-    import tomo2q.estimation as est
+    # a mixed-state trial at lambda 1e3 mostly fits rank 4 alone in the
+    # sweep's closed-form step, a bell-state trial falls back to maice;
+    # either path's non-converged estimates must reach the guard
+    import tomo2q.simulate as sim
 
-    real_maice, real_mle = est.maice, est.mle
+    real_step, real_maice = sim._closed_form_step, sim.maice
+
+    def failing_step(ns, pset, prune):
+        return [None if r is None else dataclasses.replace(r, converged=False)
+                for r in real_step(ns, pset, prune)]
 
     def failing_maice(counts, pset, restarts=1):
         best, table = real_maice(counts, pset, restarts=restarts)
-        bad = dataclasses.replace(best, converged=False)
-        return bad, table
+        return dataclasses.replace(best, converged=False), table
 
-    def failing_mle(*args, **kwargs):
-        return dataclasses.replace(real_mle(*args, **kwargs),
-                                   converged=False)
-
-    monkeypatch.setattr(est, "maice", failing_maice)
-    monkeypatch.setattr(est, "mle", failing_mle)
-    for state in ("mixed", "bell"):
+    # each path alone, the other path's estimates converging
+    for state, step, fallback in (("mixed", failing_step, real_maice),
+                                  ("bell", real_step, failing_maice)):
+        monkeypatch.setattr(sim, "_closed_form_step", step)
+        monkeypatch.setattr(sim, "maice", fallback)
         with pytest.raises(InvariantViolation,
                            match="failed to converge at lambda=1000"):
             run_sweep(small_config(true_state=state, trials=4))
+
+
+def test_sweep_estimate_failing_check_density_names_its_trial(monkeypatch):
+    # every estimate's rho_hat is checked, on one stack; a failure keeps
+    # check_density's message and names its lambda and trial, on the
+    # closed-form path (mixed, lambda 1e4) and the fallback path (bell)
+    import tomo2q.simulate as sim
+
+    real_step, real_maice = sim._closed_form_step, sim.maice
+    skewed = np.zeros((4, 4))
+    skewed[0, 1] = 1e-9
+
+    def step(ns, pset, prune):
+        fits = real_step(ns, pset, prune)
+        if fits[2] is not None:
+            rho = fits[2].rho_hat
+            fits[2] = dataclasses.replace(fits[2], rho_hat=2.0 * rho)
+        return fits
+
+    calls = []
+
+    def skewing_maice(counts, pset, restarts=1):
+        best, table = real_maice(counts, pset, restarts=restarts)
+        calls.append(None)
+        if len(calls) == 2:
+            best = dataclasses.replace(best, rho_hat=best.rho_hat + skewed)
+        return best, table
+
+    monkeypatch.setattr(sim, "_closed_form_step", step)
+    monkeypatch.setattr(sim, "maice", skewing_maice)
+    with pytest.raises(InvariantViolation,
+                       match=r"^lambda=10000, trial 2: trace is 2\+0j, "
+                             r"expected 1$"):
+        run_sweep(small_config(acquisition_times=(20.0,), trials=4))
+    with pytest.raises(InvariantViolation,
+                       match=r"^lambda=1000, trial 1: not Hermitian "
+                             r"\(defect 1\.00e-09\)$"):
+        run_sweep(small_config(true_state="bell", trials=4))
+
+
+def _same_fit(a, b):
+    return (a.rank == b.rank and a.theta_hat.tobytes() == b.theta_hat.tobytes()
+            and a.rho_hat.tobytes() == b.rho_hat.tobytes()
+            and a.log_likelihood.hex() == b.log_likelihood.hex()
+            and a.converged == b.converged and a.iterations == b.iterations)
+
+
+def test_batched_sweep_records_are_the_standalone_fits():
+    # a sweep fits its trials' counts as one stack; every record is still
+    # the fit of its counts alone, bit for bit: the closed form of
+    # mle(4, ...) where the bar proves rank 4 (mle16: where X_n is
+    # positive definite), else maice's pick (mle16: Newton), with the
+    # same prune decision as the counts' own bound
+    bench = dict(acquisition_times=(2.0, 6.0, 20.0, 60.0, 200.0), trials=1)
+    runs = [("local", "maice", bench, range(100)),
+            ("inseparable", "maice", bench, range(20)),
+            ("local", "maice", dict(acquisition_times=(0.2, 0.6), trials=8),
+             (4,)),
+            ("inseparable", "mle16",
+             dict(acquisition_times=(0.2, 2.0, 20.0), trials=8), (4,))]
+    kinds = {"closed": 0, "fallback": 0}
+    for basis, estimator, grid, seeds in runs:
+        pset = small_config(basis=basis).resolve_set()
+        for seed in seeds:
+            res = run_sweep(small_config(basis=basis, estimator=estimator,
+                                         seed=seed, **grid))
+            if min(res.lam_values) >= 1e3:
+                assert sum(res.excluded) == 0
+            for rec in (r for recs in res.records for r in recs):
+                inv = _Inversion(rec.counts.astype(float), pset)
+                bounds = _lower_rank_bounds(inv, pset)
+                closed = (inv.factor is not None if estimator == "mle16"
+                          else bounds is not None and _rank4_wins(bounds))
+                if closed or estimator == "mle16":
+                    alone = mle(4, rec.counts, pset)
+                else:
+                    alone = maice(rec.counts, pset, 1)[0]
+                assert _same_fit(rec.result, alone), (basis, seed)
+                kinds["closed" if closed else "fallback"] += 1
+    assert kinds["closed"] > 500 and kinds["fallback"] > 10
 
 
 def test_emit_results_header_and_format(tmp_path):
