@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from .estimation import RANK_NPARAMS, maice, mle
-from .exceptions import TomographyError
+from .exceptions import InvariantViolation, TomographyError
 from .fisher import bound_coefficient
 from .projectors import inseparable_projector_set, local_projector_set
 from .simulate import (
+    _EPSILON_APPLIES,
     SimulationConfig,
     compare_bases,
     emit_results,
@@ -126,6 +127,9 @@ def _cmd_simulate(args):
 def _state_for_bounds(args):
     if args.state in _PRESETS:
         return preset_state(args.state, args.eps)
+    # a counts file's fit is the state; no noise weight applies to it
+    if args.eps is not None:
+        raise InvariantViolation(_EPSILON_APPLIES)
     counts = read_counts(args.state)
     best, _ = maice(counts, _pset(args.basis))
     return best.rho_hat

@@ -1,39 +1,41 @@
 """Poisson likelihood, rank-model MLE, AIC, and minimum-AIC selection.
 
 Counts at the 16 projector settings are independent Poisson variables
-with means M_nu = Tr[P_nu T T*].  One kernel, `_poisson`, computes the
-log-likelihood, with the full ln(n!) normalization so that absolute AIC
-values are comparable across analyses.  It clamps the means at
-MEAN_CLAMP before the logarithm: a rank-deficient model that assigns
-zero mean to a nonzero count then scores astronomically badly instead
-of crashing, and AIC disposes of it naturally.
+with means M_nu = Tr[P_nu T T*], which the fits, like the Fisher
+information, read from `projectors.means_and_derivatives`.  One kernel,
+`_poisson`, computes the log-likelihood, with the full ln(n!)
+normalization so that absolute AIC values are comparable across
+analyses.  It clamps the means at MEAN_CLAMP before the logarithm: a
+rank-deficient model that assigns zero mean to a nonzero count then
+scores astronomically badly instead of crashing, and AIC disposes of
+it naturally.
 
 The counts determine the unnormalized linear inversion X_n, whose
-means Tr[P_nu X_n] are the counts themselves; `_invert` builds it, and
-its Cholesky factor, for a stack of count tables at once, and
-`_Inversion` is one table's, shared by `maice`'s four fits.  Where X_n
-is positive definite it is a rank-4 model with M = n, the saturated
-fit, which no model exceeds: the rank-4 fit is then X_n's Cholesky
-factor, with 0 iterations, read off a stack of factors by
-`_saturated_fits`, `mle`'s on a stack of one.  A sweep
-(`_closed_form_step`) draws all its trials' counts first and decides
-and fits the whole stack: it asks, from each trial's counts alone,
-whether a bound on ranks 1-3 proves that the saturated fit wins the
-AIC, fits the members it proves in closed form, and leaves every other
-member to its own `maice` fit.  Every step on a stack works member by
-member, a LAPACK gufunc or one vector-matrix product per row, so a
-member's fit has the bits of its fit alone.
-Every other fit starts
-from the inversion clipped to the PSD cone, diagonalized once per
-table, each rank truncating that eigendecomposition, and from `warm`,
-in `maice` the fit of the rank below.  Ranks 1-3 also start from
-jittered copies of the inversion; at rank 4 they cannot change the fit
-(see `_starts`).
-Ranks 2-4 use damped Newton on the analytic Hessian
-(Levenberg-Marquardt damping, More 1978): it takes a fraction of
-BFGS's time, and from the same starts it almost always ends at the
-optimum BFGS ends at.  Rank 1 runs
-BFGS from `_bfgs`, an in-package port of scipy's BFGS: the rank-1
+means Tr[P_nu X_n] are the counts themselves; `_invert` builds it from
+`projectors._solve_counts`, with its Cholesky factor, for a stack of
+count tables at once, and `_Inversion` is one table's, shared by
+`maice`'s four fits.  Where X_n is positive definite it is a rank-4
+model with M = n, the saturated fit, which no model exceeds: the
+rank-4 fit is then X_n's Cholesky factor, with 0 iterations, read off
+a stack of factors by `_saturated_fits`, `mle`'s on a stack of one.  A
+sweep (`_closed_form_step`) draws all its trials' counts first and
+decides and fits the whole stack: it asks, from each trial's counts
+alone, whether a bound on ranks 1-3 proves that the saturated fit wins
+the AIC, fits the members it proves in closed form, and leaves every
+other member to its own `maice` fit.  Every step on a stack works
+member by member, a LAPACK gufunc or one vector-matrix product per
+row, so a member's fit has the bits of its fit alone.
+
+Every other fit starts from the inversion clipped to the PSD cone,
+diagonalized once per table, each rank truncating that
+eigendecomposition, and from `warm`, in `maice` the fit of the rank
+below.  Ranks 1-3 also start from jittered copies of the inversion; at
+rank 4 they cannot change the fit (see `_starts`).
+
+Ranks 2-4 use damped Newton on the analytic Hessian (Levenberg-Marquardt
+damping, More 1978): it takes a fraction of BFGS's time, and from the
+same starts it almost always ends at the optimum BFGS ends at.  Rank 1
+runs BFGS from `_bfgs`, an in-package port of scipy's BFGS: the rank-1
 landscape has many optima, Newton ends at a different one from many of
 the starts, and that moves the published rank-1 AIC.  The port follows
 scipy bit for bit wherever its More-Thuente line search succeeds.
@@ -41,15 +43,12 @@ scipy's fallback line search is left out: where it would rescue a step,
 the fit's log-likelihood moves only at round-off, and no selected rank
 or `converged` flag depends on it.  The package needs numpy only.
 
-Each Newton trial step runs two LAPACK routines: `dpotrf` (Cholesky)
-tests whether the damped Hessian is positive definite, and `dgesv` (LU)
-solves for the step.  Newton calls them through numpy's gufuncs
-`cholesky_lo` and `solve1`, the routines behind `np.linalg.cholesky`
-and `np.linalg.solve`, because those wrappers' per-call checks and
-error-state setup took longer than the factorizations themselves.  Both
-factorizations stay: solving with the Cholesky factor would change the
-step's last bits, and with them the optima the fits reach, and numpy
-has no triangular-solve gufunc to do it with.
+Each Newton trial step tests the damped Hessian for definiteness by
+Cholesky (`dpotrf`) and solves for the step by LU (`dgesv`), through
+the gufuncs `cholesky_lo` and `solve1` behind `np.linalg`, whose
+per-call checks took longer than the factorizations.  Solving with the
+Cholesky factor would change the step's last bits, and with them the
+optima the fits reach; numpy has no triangular-solve gufunc for it.
 """
 
 import functools
@@ -63,10 +62,11 @@ from numpy.linalg._umath_linalg import cholesky_lo, solve1
 from ._bfgs import minimize
 from .exceptions import InvariantViolation
 # linear_tomography stays importable here because perfbench's tracing
-# patches it; the fits solve for the inversion in `_solve_counts`
-from .projectors import (MEAN_CLAMP, _check_count_vector, check_counts,
+# patches it; the fits solve for the inversion with `_solve_counts`
+from .projectors import (MEAN_CLAMP, _check_count_vector, _solve_counts,
+                         check_counts,
                          linear_tomography,  # noqa: F401
-                         mean_counts)
+                         mean_counts, means_and_derivatives)
 from .states import (
     CholeskyModel,
     RANK_NPARAMS,
@@ -132,8 +132,8 @@ def _log_factorials(n):
 def log_likelihood_gradient(model, counts, pset):
     """Closed-form score sum_nu (n/M - 1) dM/dtheta, the fits' gradient
     negated; their lgamma, 0 here, shifts only the objective."""
-    n, q = _check_count_vector(counts), pset.q[len(model.params)]
-    return -_negloglik_and_grad(model.params, n, q, 0.0)[1]
+    n = _check_count_vector(counts)
+    return -_negloglik_and_grad(model.params, n, pset, 0.0)[1]
 
 
 def _poisson(n, m, lgamma):
@@ -143,16 +143,17 @@ def _poisson(n, m, lgamma):
     return lgamma - (n * np.log(m) - m).sum(), m
 
 
-def _negloglik(theta, n, q, lgamma):
-    """Negative log-likelihood, the clamped means M and the rows
-    theta' Q_nu (half of dM/dtheta), q the rank's block `pset.q[k]`."""
-    qt = (q @ theta).reshape(16, len(theta))
-    return (*_poisson(n, qt @ theta, lgamma), qt)
+def _negloglik(theta, n, pset, lgamma):
+    """(f, M, dM): the negative log-likelihood of the counts n at the
+    rank model theta, and its `means_and_derivatives` on the set pset,
+    the means M clamped at MEAN_CLAMP."""
+    m, dm = means_and_derivatives(theta, pset)
+    return (*_poisson(n, m, lgamma), dm)
 
 
-def _negloglik_and_grad(theta, n, q, lgamma):
-    f, m, qt = _negloglik(theta, n, q, lgamma)
-    return f, (1.0 - n / m) @ (2.0 * qt)
+def _negloglik_and_grad(theta, n, pset, lgamma):
+    f, m, dm = _negloglik(theta, n, pset, lgamma)
+    return f, (1.0 - n / m) @ dm
 
 
 def _cholesky(a):
@@ -164,7 +165,7 @@ def _cholesky(a):
     return None if math.isnan(t.real.item(0)) else t
 
 
-def _newton(theta, n, q, lgamma):
+def _newton(theta, n, pset, lgamma):
     """Levenberg-Marquardt-damped Newton on the analytic Hessian
     H = sum_nu [2(1 - n/M) Q_nu + (n/M^2) dM dM^T].
 
@@ -184,15 +185,14 @@ def _newton(theta, n, q, lgamma):
     invalid flag of a failed factorization.
     """
     k = len(theta)
-    q2 = 2.0 * q.reshape(16, k * k)
+    q2 = 2.0 * pset.q[k].reshape(16, k * k)
     with np.errstate(invalid="ignore"):
-        f, m, qt = _negloglik(theta, n, q, lgamma)
+        f, m, dm = _negloglik(theta, n, pset, lgamma)
         mu = _NEWTON_MU0
         iterations = 0
         while iterations < _NEWTON_MAXITER:
             r = n / m
             w = 1.0 - r
-            dm = 2.0 * qt
             g = w @ dm
             if max(map(abs, g.tolist())) <= _NEWTON_GTOL * max(1.0, abs(f)):
                 break
@@ -207,7 +207,7 @@ def _newton(theta, n, q, lgamma):
                     definite = _cholesky(a) is not None
                 if definite:
                     trial = theta - solve1(a, g)
-                    f_trial, m_trial, qt_trial = _negloglik(trial, n, q,
+                    f_trial, m_trial, dm_trial = _negloglik(trial, n, pset,
                                                             lgamma)
                     if f_trial < f:
                         break
@@ -216,19 +216,10 @@ def _newton(theta, n, q, lgamma):
                 mu *= 4.0
                 if mu > _NEWTON_MU_MAX:
                     return theta, f, iterations
-            theta, f, m, qt = trial, f_trial, m_trial, qt_trial
+            theta, f, m, dm = trial, f_trial, m_trial, dm_trial
             mu = max(mu / 3.0, _NEWTON_MU_MIN)
             iterations += 1
     return theta, f, iterations
-
-
-def _solve_counts(ns, pset):
-    """The rows x solving B x = n for the rows n of the (m, 16) stack
-    ns, or None for an incomplete set: the Pauli coefficients of the
-    unnormalized linear inversions X_n = sum_mu x_mu Gamma_mu, whose
-    means Tr[P_nu X_n] are the counts.  `linear_tomography` is x split
-    into (x / x_0, x_0)."""
-    return solve1(pset.b, ns) if pset.complete else None
 
 
 def _invert(ns, pset):
@@ -263,12 +254,9 @@ class _Inversion:
     def __init__(self, n, pset):
         self.n = n
         self.lgamma = _log_factorials(n)
-        self.x = self.xn = self.factor = None
         x, xn, factors, ok = _invert(n[None], pset)
-        if x is not None:
-            self.x, self.xn = x[0], xn[0]
-            if ok[0]:
-                self.factor = factors[0]
+        self.x, self.xn = (None, None) if x is None else (x[0], xn[0])
+        self.factor = factors[0] if ok[0] else None
 
     @functools.cached_property
     def clipped(self):
@@ -313,8 +301,8 @@ def _padded_warm(warm, rank):
 
 def _starts(inv, rank, warm, restarts):
     """The PSD-clipped linear inversion of the `_Inversion` inv, `warm`
-    zero-padded to the rank's parameter count, then, at ranks 1-3,
-    `restarts` jittered copies of it.  The jitter is fixed per rank.
+    (None or already `_padded_warm`), then, at ranks 1-3, `restarts`
+    jittered copies of the inversion.  The jitter is fixed per rank.
 
     Rank 4 needs no jitter.  The log-likelihood is concave in X = T T*,
     and near a full-rank T the map from theta to X is invertible, so a
@@ -328,7 +316,6 @@ def _starts(inv, rank, warm, restarts):
     theta0 = _cholesky_from_eigh(*inv.clipped, rank).params
 
     starts = [theta0]
-    warm = _padded_warm(warm, rank)
     if warm is not None:
         starts.append(warm)
     jittered = restarts if rank < 4 else 0
@@ -374,11 +361,10 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     if not n.any():
         raise InvariantViolation(
             "all 16 counts are zero; they determine no state")
-    # checked here too, because the closed form takes no start
+    # checked before the closed form, which takes no start
     warm = _padded_warm(warm, rank)
     inv = _Inversion(n, pset) if _inversion is None else _inversion
     lgamma = inv.lgamma
-    q = pset.q[RANK_NPARAMS[rank]]
     if rank == 4 and inv.factor is not None:
         return _saturated_fits(inv.factor[None], n[None], [lgamma], pset)[0]
     total_iter = 0
@@ -386,23 +372,23 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     for x0 in _starts(inv, rank, warm, restarts):
         if rank == 1:
             res = minimize(_negloglik_and_grad, x0,
-                           args=(n, q, lgamma), gtol=1e-7, maxiter=2000)
+                           args=(n, pset, lgamma), gtol=1e-7, maxiter=2000)
             end, f, nit = res.x, res.fun, res.nit
         else:
-            end, f, nit = _newton(x0, n, q, lgamma)
+            end, f, nit = _newton(x0, n, pset, lgamma)
         total_iter += int(nit)
         if best_theta is None or f < best_f:
             best_theta, best_f = end, f
     model = CholeskyModel(rank=rank, params=_canonical_gauge(best_theta, rank))
     return _fit_result(rank, model.params, density_from_cholesky(model), n,
-                       q, lgamma, total_iter)
+                       pset, lgamma, total_iter)
 
 
-def _fit_result(rank, theta, rho, n, q, lgamma, iterations):
+def _fit_result(rank, theta, rho, n, pset, lgamma, iterations):
     """The EstimationResult of the rank fit theta, with state rho, to the
-    counts n, q the rank's block of `pset.q`; `converged` reports
-    whether the score vanishes at theta."""
-    f, g = _negloglik_and_grad(theta, n, q, lgamma)
+    counts n on the set pset; `converged` reports whether the score
+    vanishes at theta."""
+    f, g = _negloglik_and_grad(theta, n, pset, lgamma)
     ll = -float(f)
     converged = max(map(abs, g.tolist())) <= 1e-6 * max(1.0, abs(ll))
     return EstimationResult(
@@ -424,8 +410,7 @@ def _saturated_fits(factors, ns, lgammas, pset):
     stack, and each member's closing score, with 0 iterations."""
     thetas = np.real(np.einsum("iab,mab->mi", T_BASIS.conj(), factors))
     rhos = _cholesky_densities(thetas)
-    q = pset.q[RANK_NPARAMS[4]]
-    return [_fit_result(4, theta, rho, n, q, lgamma, 0)
+    return [_fit_result(4, theta, rho, n, pset, lgamma, 0)
             for theta, rho, n, lgamma in zip(thetas, rhos, ns, lgammas)]
 
 

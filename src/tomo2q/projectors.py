@@ -17,6 +17,8 @@ ProjectorSet stacks those blocks once per k into one (16 k, k) array.
 A ProjectorSet is immutable, arrays included, so the two built-in sets
 are process-wide constants, each built on its first use.  MEAN_CLAMP,
 the floor of a mean that is divided by or logged, lives with the means.
+The fits read their means from the count model here, as the Fisher
+information does, and their inversions from `_solve_counts` (B x = n).
 """
 
 import functools
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from .exceptions import InvariantViolation, InversionError
 from .states import RANK_NPARAMS, T_BASIS, pauli_basis
@@ -170,6 +173,14 @@ def inseparable_projector_set():
     return ProjectorSet(name="inseparable", operators=np.array(ops))
 
 
+def _solve_counts(ns, pset):
+    """The x solving B x = n for counts n, (16,) or an (m, 16) stack,
+    or None for an incomplete set: the Pauli coefficients of the linear
+    inversions X_n = sum_mu x_mu Gamma_mu, whose means are the counts.
+    `solve1` is np.linalg.solve's gufunc without its per-call checks."""
+    return solve1(pset.b, ns) if pset.complete else None
+
+
 def completeness_check(pset):
     """(complete, condition_number) from the singular values of B."""
     s = np.linalg.svd(pset.b, compute_uv=False)
@@ -234,11 +245,10 @@ def linear_tomography(counts, pset):
     Returns (phi, lambda_hat). Exact on noiseless means; the implied
     density matrix is Hermitian with unit trace but not necessarily PSD.
     """
-    counts = _check_count_vector(counts)
-    if not pset.complete:
+    lam_phi = _solve_counts(_check_count_vector(counts), pset)
+    if lam_phi is None:
         raise InvariantViolation(
             f"projector set '{pset.name}' is not tomographically complete")
-    lam_phi = np.linalg.solve(pset.b, counts)
     lam_hat = lam_phi[0]
     if lam_hat <= 0.0:
         raise InversionError(

@@ -63,7 +63,7 @@ def test_bfgs_port_matches_scipy(local_set, insep_set, monkeypatch,
                         lambda *a, **k: (None,) * 6)
     pset = local_set if set_name == "local" else insep_set
     n = np.asarray(counts, dtype=float)
-    args = (n, pset.q[7], _log_factorials(n))
+    args = (n, pset, _log_factorials(n))
     statuses = set()
     for x0 in _starts(_Inversion(n, pset), 1, None, 4):
         ref = _scipy_bfgs(optimize, x0, args)
@@ -83,7 +83,7 @@ def test_rank_1_fit_needs_no_fallback_search(insep_set):
     # on the vector where that fallback rescues a start
     optimize = _scipy_1_17()
     n = np.asarray(RESCUED, dtype=float)
-    args = (n, insep_set.q[7], _log_factorials(n))
+    args = (n, insep_set, _log_factorials(n))
     best = min(_scipy_bfgs(optimize, x0, args).fun
                for x0 in _starts(_Inversion(n, insep_set), 1, None, 4))
     assert mle(1, n, insep_set).log_likelihood == pytest.approx(-best,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_simulate_all_zero_trial_names_its_lambda_and_trial(capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "lambda=0.5, trial 1:" in err[0]
     assert "all 16 counts are zero" in err[0]
+
+
+def test_simulate_reports_excluded_trials(tmp_path, capsys, monkeypatch):
+    # the first of 20 maice fits at lambda 1e2 is marked non-converged:
+    # within the 5% allowance, so the sweep writes its row and the
+    # command names the excluded count.  Fails if that message is not
+    # printed.
+    import tomo2q.simulate as sim
+    real, calls = sim.maice, []
+
+    def first_unconverged(*args, **kwargs):
+        best, table = real(*args, **kwargs)
+        calls.append(best)
+        if len(calls) == 1:
+            best = dataclasses.replace(best, converged=False)
+        return best, table
+
+    monkeypatch.setattr(sim, "maice", first_unconverged)
+    out = tmp_path / "sweep.csv"
+    rc = main(["simulate", "--state", "mixed", "--rate", "500", "--times",
+               "0.2", "--trials", "20", "--seed", "1", "--out", str(out)])
+    assert rc == 0 and calls
+    assert capsys.readouterr().err.splitlines() == [
+        "excluded 1 non-converged trials"]
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_simulate_without_out_writes_csv_to_stdout(capsys):
@@ -213,6 +239,17 @@ def test_bounds_from_counts_file(vn_file, capsys):
 def test_bounds_unknown_preset_fails(capsys):
     rc = main(["bounds", "--state", "nonsense-name"])
     assert rc == 1
+
+
+def test_bounds_epsilon_of_a_counts_file_is_an_error(vn_file, capsys):
+    # a counts file's fit is the state, so --eps would be ignored
+    rc = main(["bounds", "--state", vn_file, "--eps", "0.3"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: epsilon applies only to the product and bell presets"]
+    assert "Traceback" not in err
 
 
 def test_compare_bases_directional(capsys, tmp_path):

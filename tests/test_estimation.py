@@ -16,6 +16,7 @@ from tomo2q.estimation import (
     _negloglik,
     _negloglik_and_grad,
     _newton,
+    _padded_warm,
     _rank4_wins,
     _starts,
     EstimationResult,
@@ -223,8 +224,7 @@ def _bfgs_reference(rank, n, pset):
     minimize = pytest.importorskip("scipy.optimize").minimize
     n = np.asarray(n, dtype=float)
     lgamma = _log_factorials(n)
-    q = pset.q[RANK_NPARAMS[rank]]
-    return -min(minimize(_negloglik_and_grad, x0, args=(n, q, lgamma),
+    return -min(minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
                          jac=True, method="BFGS",
                          options={"gtol": 1e-7, "maxiter": 2000}).fun
                 for x0 in _jittered_starts(n, pset, rank, 4))
@@ -263,8 +263,7 @@ def test_mle_rank_4_saturates_when_inversion_is_positive(local_set):
     # Newton stops at |g| <= 1e-9 |logL|, which leaves M - n at ~1e-9 n
     lgamma = _log_factorials(n)
     for x0 in _jittered_starts(n, local_set, 4, 4)[1:]:
-        theta = _newton(x0, n.astype(float), local_set.q[16],
-                        lgamma)[0]
+        theta = _newton(x0, n.astype(float), local_set, lgamma)[0]
         assert misfit(theta) < 1e-8
 
 
@@ -288,7 +287,7 @@ def _newton_rank_4(counts, pset):
     fits without the closed form: (gauge-fixed theta, logL, steps)."""
     n = np.asarray(counts, dtype=float)
     x0 = _starts(_Inversion(n, pset), 4, None, 0)[0]
-    theta, f, steps = _newton(x0, n, pset.q[16], _log_factorials(n))
+    theta, f, steps = _newton(x0, n, pset, _log_factorials(n))
     return _canonical_gauge(theta, 4), -f, steps
 
 
@@ -380,8 +379,7 @@ def test_maice_fits_equal_standalone_fits(corpus_tables):
             model = CholeskyModel(r.rank, r.theta_hat)
             assert log_likelihood(model, counts, pset).hex() == \
                 r.log_likelihood.hex(), label
-            _, grad = _negloglik_and_grad(r.theta_hat, n,
-                                          pset.q[len(r.theta_hat)],
+            _, grad = _negloglik_and_grad(r.theta_hat, n, pset,
                                           _log_factorials(n))
             assert np.array_equal(
                 log_likelihood_gradient(model, counts, pset), -grad), label
@@ -471,20 +469,19 @@ def test_canonical_gauge_flips_the_columns_of_t(local_set):
                 mean_counts(CholeskyModel(rank, theta), local_set))
 
 
-def _newton_reference(theta, n, q, lgamma):
+def _newton_reference(theta, n, pset, lgamma):
     """`_newton`'s algorithm on numpy.linalg's `cholesky` and
     `solve`, which raise LinAlgError; also returns how many Cholesky
     tests failed."""
     k = len(theta)
-    q2 = 2.0 * q.reshape(16, k * k)
+    q2 = 2.0 * pset.q[k].reshape(16, k * k)
     eye = np.eye(k)
-    f, m, qt = _negloglik(theta, n, q, lgamma)
+    f, m, dm = _negloglik(theta, n, pset, lgamma)
     mu = _NEWTON_MU0
     iterations = failures = 0
     while iterations < _NEWTON_MAXITER:
         r = n / m
         w = 1.0 - r
-        dm = 2.0 * qt
         g = w @ dm
         if max(map(abs, g.tolist())) <= _NEWTON_GTOL * max(1.0, abs(f)):
             break
@@ -501,7 +498,8 @@ def _newton_reference(theta, n, q, lgamma):
                     failures += 1
             if definite:
                 trial = theta - np.linalg.solve(a, g)
-                f_trial, m_trial, qt_trial = _negloglik(trial, n, q, lgamma)
+                f_trial, m_trial, dm_trial = _negloglik(trial, n, pset,
+                                                        lgamma)
                 if f_trial < f:
                     break
                 if f_trial == f:
@@ -509,7 +507,7 @@ def _newton_reference(theta, n, q, lgamma):
             mu *= 4.0
             if mu > _NEWTON_MU_MAX:
                 return theta, f, iterations, failures
-        theta, f, m, qt = trial, f_trial, m_trial, qt_trial
+        theta, f, m, dm = trial, f_trial, m_trial, dm_trial
         mu = max(mu / 3.0, _NEWTON_MU_MIN)
         iterations += 1
     return theta, f, iterations, failures
@@ -525,11 +523,10 @@ def test_newton_matches_the_numpy_linalg_reference(corpus_tables):
         lgamma = _log_factorials(n)
         inv = _Inversion(n, pset)
         for rank in (2, 3, 4):
-            q = pset.q[RANK_NPARAMS[rank]]
-            warm = table[rank - 2].theta_hat
+            warm = _padded_warm(table[rank - 2].theta_hat, rank)
             for x0 in _starts(inv, rank, warm, 4):
-                theta, f, steps = _newton(x0, n, q, lgamma)
-                ref = _newton_reference(x0, n, q, lgamma)
+                theta, f, steps = _newton(x0, n, pset, lgamma)
+                ref = _newton_reference(x0, n, pset, lgamma)
                 assert theta.tobytes() == ref[0].tobytes(), (label, rank)
                 assert (f, steps) == ref[1:3], (label, rank)
                 failures += ref[3]
@@ -631,11 +628,28 @@ def test_newton_stops_at_the_round_off_floor(insep_set):
     n = np.array([9656, 122, 106, 137, 2472, 2562, 2401, 2543,
                   2444, 2384, 2535, 2479, 2523, 2573, 2523, 2500], float)
     x0 = _starts(_Inversion(n, insep_set), 3, None, 0)[0]
-    theta, f, steps = _newton(x0, n, insep_set.q[15],
-                              _log_factorials(n))
+    theta, f, steps = _newton(x0, n, insep_set, _log_factorials(n))
     assert steps < _NEWTON_MAXITER // 10
     score = log_likelihood_gradient(CholeskyModel(3, theta), n, insep_set)
     assert np.max(np.abs(score)) <= 1e-6 * max(1.0, abs(f))
+
+
+def test_newton_stops_at_the_damping_cap(local_set):
+    # a finite start whose means overflow has a NaN objective, which no
+    # trial step lowers: the damping grows past _NEWTON_MU_MAX and the
+    # start comes back with 0 steps, so `mle` keeps its other starts'
+    # fit.  Fails if the cap does not return the start (`break` in place
+    # of its `return`).
+    n = C01_GRID.astype(float)
+    x0 = np.full(12, 1e160)
+    with np.errstate(over="ignore"):
+        theta, f, steps = _newton(x0, n, local_set, _log_factorials(n))
+        warmed = mle(2, C01_GRID, local_set, warm=np.full(7, 1e160))
+    assert np.array_equal(theta, x0) and np.isnan(f) and steps == 0
+    cold = mle(2, C01_GRID, local_set)
+    assert warmed.theta_hat.tobytes() == cold.theta_hat.tobytes()
+    assert (warmed.log_likelihood, warmed.iterations) == (
+        cold.log_likelihood, cold.iterations)
 
 
 def test_maice_selects_true_rank_and_orders_loglik(local_set):

@@ -162,7 +162,7 @@ def test_bfgs_port_matches_scipy_bit_for_bit(sets, optimize, seed, preset,
     counts = sample_counts(preset_state(preset), pset, 10.0 ** log_lam,
                            np.random.default_rng(seed))
     n = counts.astype(float)
-    args = (n, pset.q[7], _log_factorials(n))
+    args = (n, pset, _log_factorials(n))
     with mock.patch.object(optimize._optimize, "line_search_wolfe2",
                            lambda *a, **k: (None,) * 6):
         for x0 in _starts(_Inversion(n, pset), 1, None, 4):
