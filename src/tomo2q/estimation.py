@@ -23,8 +23,10 @@ decides and fits the whole stack: it asks, from each trial's counts
 alone, whether a bound on ranks 1-3 proves that the saturated fit wins
 the AIC, fits the members it proves in closed form, and leaves every
 other member to its own `maice` fit.  Every step on a stack works
-member by member, a LAPACK gufunc or one vector-matrix product per
-row, so a member's fit has the bits of its fit alone.
+member by member, a LAPACK gufunc (see `_lapack`) or one matrix-vector
+product per row, so a member's fit has the bits of its fit alone; that
+includes the closing score (`_fit_results`) and the saturated
+log-likelihood.
 
 Every other fit starts from the inversion clipped to the PSD cone,
 diagonalized once per table, each rank truncating that
@@ -45,8 +47,7 @@ or `converged` flag depends on it.  The package needs numpy only.
 
 Each Newton trial step tests the damped Hessian for definiteness by
 Cholesky (`dpotrf`) and solves for the step by LU (`dgesv`), through
-the gufuncs `cholesky_lo` and `solve1` behind `np.linalg`, whose
-per-call checks took longer than the factorizations.  Solving with the
+`_lapack`'s gufuncs `cholesky_lo` and `solve1`.  Solving with the
 Cholesky factor would change the step's last bits, and with them the
 optima the fits reach; numpy has no triangular-solve gufunc for it.
 """
@@ -57,9 +58,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from ._bfgs import minimize
+from ._lapack import cholesky_lo, eigh, eigvalsh, solve1, svdvals
 from .exceptions import InvariantViolation
 # linear_tomography stays importable here because perfbench's tracing
 # patches it; the fits solve for the inversion with `_solve_counts`
@@ -73,8 +74,8 @@ from .states import (
     T_BASIS,
     _cholesky_densities,
     _cholesky_from_eigh,
+    _density_eigh,
     _pauli_densities,
-    check_density,
     density_from_cholesky,
     density_from_pauli,
 )
@@ -92,6 +93,10 @@ _NEWTON_MU_MIN = 1e-12
 _NEWTON_MU_MAX = 1e12
 _NEWTON_GTOL = 1e-9
 _NEWTON_MAXITER = 500
+# what an iterating fit ignores: the invalid flag of a failed Cholesky
+# test, and the overflow of the means at a start as large as 1e160,
+# whose NaN objective no step lowers, so the start loses
+_FIT_ERRSTATE = {"invalid": "ignore", "over": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,10 @@ def log_likelihood_gradient(model, counts, pset):
 
 def _poisson(n, m, lgamma):
     """(lgamma - sum_nu (n ln M - M), M): the negative log-likelihood of
-    counts n, lgamma = sum ln(n!), at the means M = max(m, MEAN_CLAMP)."""
+    counts n, lgamma = sum ln(n!), at the means M = max(m, MEAN_CLAMP);
+    n and m may also be (m, 16) stacks, with lgamma one value per row."""
     m = np.maximum(m, MEAN_CLAMP)
-    return lgamma - (n * np.log(m) - m).sum(), m
+    return lgamma - (n * np.log(m) - m).sum(axis=-1), m
 
 
 def _negloglik(theta, n, pset, lgamma):
@@ -180,13 +186,11 @@ def _newton(theta, n, pset, lgamma):
     iterations the number of kept steps.
 
     The shift is added to H's diagonal in place.  `_cholesky` tests
-    definiteness and `solve1` solves for the step (the module docstring
-    says why through these gufuncs), under one errstate that ignores the
-    invalid flag of a failed factorization.
+    definiteness and `solve1` solves for the step, under `_FIT_ERRSTATE`.
     """
     k = len(theta)
     q2 = 2.0 * pset.q[k].reshape(16, k * k)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(**_FIT_ERRSTATE):
         f, m, dm = _negloglik(theta, n, pset, lgamma)
         mu = _NEWTON_MU0
         iterations = 0
@@ -271,11 +275,11 @@ class _Inversion:
             lam = max(float(self.n.sum()) / 4.0, 1.0)
             rho = np.eye(4, dtype=complex) / 4.0
         rho = 0.5 * (rho + rho.conj().T)
-        w, v = np.linalg.eigh(rho)
+        w, v = eigh(rho)
         w = np.clip(w, 1e-6, None)
         rho = (v * w) @ v.conj().T
         rho /= np.trace(rho).real
-        w, v = np.linalg.eigh(check_density(rho))
+        _, w, v = _density_eigh(rho)
         return w, v, lam
 
 
@@ -371,8 +375,9 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     best_theta, best_f = None, None
     for x0 in _starts(inv, rank, warm, restarts):
         if rank == 1:
-            res = minimize(_negloglik_and_grad, x0,
-                           args=(n, pset, lgamma), gtol=1e-7, maxiter=2000)
+            with np.errstate(**_FIT_ERRSTATE):
+                res = minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
+                               gtol=1e-7, maxiter=2000)
             end, f, nit = res.x, res.fun, res.nit
         else:
             end, f, nit = _newton(x0, n, pset, lgamma)
@@ -380,27 +385,39 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
         if best_theta is None or f < best_f:
             best_theta, best_f = end, f
     model = CholeskyModel(rank=rank, params=_canonical_gauge(best_theta, rank))
-    return _fit_result(rank, model.params, density_from_cholesky(model), n,
-                       pset, lgamma, total_iter)
+    return _fit_results(rank, model.params[None],
+                        density_from_cholesky(model)[None], n[None], pset,
+                        [lgamma], total_iter)[0]
 
 
-def _fit_result(rank, theta, rho, n, pset, lgamma, iterations):
-    """The EstimationResult of the rank fit theta, with state rho, to the
-    counts n on the set pset; `converged` reports whether the score
-    vanishes at theta."""
-    f, g = _negloglik_and_grad(theta, n, pset, lgamma)
-    ll = -float(f)
-    converged = max(map(abs, g.tolist())) <= 1e-6 * max(1.0, abs(ll))
-    return EstimationResult(
-        rank=rank,
-        theta_hat=theta,
-        log_likelihood=ll,
-        aic=aic(ll, rank),
-        rho_hat=rho,
-        lambda_hat=float(theta @ theta),
-        converged=converged,
-        iterations=iterations,
-    )
+def _fit_results(rank, thetas, rhos, ns, pset, lgammas, iterations):
+    """The EstimationResult of each rank fit in the rows of thetas, with
+    state rhos[i], to the counts ns[i] (sum ln(n!) in lgammas[i]) on the
+    set pset, each with `iterations`; `converged` reports whether the
+    score vanishes at theta.  The score is `_negloglik_and_grad`'s, run
+    on the stack one matrix-vector product per row, so that each
+    member has the bits of its score alone."""
+    k = thetas.shape[1]
+    qt = (pset.q[k] @ thetas[:, :, None]).reshape(len(thetas), 16, k)
+    fs, m = _poisson(ns, (qt @ thetas[:, :, None])[:, :, 0],
+                     np.array(lgammas))
+    gs = ((1.0 - ns / m)[:, None, :] @ (2.0 * qt))[:, 0]
+    scales = (thetas[:, None, :] @ thetas[:, :, None])[:, 0, 0]
+    results = []
+    for theta, rho, f, g, scale in zip(thetas, rhos, fs.tolist(),
+                                       gs.tolist(), scales.tolist()):
+        ll = -f
+        results.append(EstimationResult(
+            rank=rank,
+            theta_hat=theta,
+            log_likelihood=ll,
+            aic=aic(ll, rank),
+            rho_hat=rho,
+            lambda_hat=scale,
+            converged=max(map(abs, g)) <= 1e-6 * max(1.0, abs(ll)),
+            iterations=iterations,
+        ))
+    return results
 
 
 def _saturated_fits(factors, ns, lgammas, pset):
@@ -409,9 +426,8 @@ def _saturated_fits(factors, ns, lgammas, pset):
     L, each positive definite: theta read off L, the states of the
     stack, and each member's closing score, with 0 iterations."""
     thetas = np.real(np.einsum("iab,mab->mi", T_BASIS.conj(), factors))
-    rhos = _cholesky_densities(thetas)
-    return [_fit_result(4, theta, rho, n, pset, lgamma, 0)
-            for theta, rho, n, lgamma in zip(thetas, rhos, ns, lgammas)]
+    return _fit_results(4, thetas, _cholesky_densities(thetas), ns, pset,
+                        lgammas, 0)
 
 
 def _canonical_gauge(theta, rank):
@@ -510,14 +526,15 @@ def _rank_bounds(ns, xns, lgammas, pset):
     bar L(a_3) > ll_sat - ll4 + 1 + margin that `_rank4_wins` asks at
     ll4 = ll_sat.
     """
-    mus = np.linalg.eigvalsh(xns)[:, ::-1].tolist()
-    ss = np.linalg.svd(pset.b / np.sqrt(ns)[:, :, None],
-                       compute_uv=False)[:, -1].tolist()
+    mus = eigvalsh(xns)[:, ::-1].tolist()
+    ss = svdvals(pset.b / np.sqrt(ns)[:, :, None])[:, -1].tolist()
+    ll_sats = (-_poisson(ns, ns, np.array(lgammas))[0]).tolist()
     bounds = []
-    for n, lgamma, mu, s in zip(ns, lgammas, mus, ss):
-        ll_sat = -float(_poisson(n, n, lgamma)[0])
+    for ll_sat, n_min, n_total, mu, s in zip(
+            ll_sats, ns.min(axis=1).tolist(), ns.sum(axis=1).tolist(), mus,
+            ss):
         a = tuple(2.0 * s * s * sum(m * m for m in mu[r:]) for r in (1, 2, 3))
-        bounds.append((ll_sat, float(n.min()), float(n.sum()), a))
+        bounds.append((ll_sat, n_min, n_total, a))
     return bounds
 
 

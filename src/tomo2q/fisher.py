@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import pinv
 
+from ._lapack import eigh, eigvalsh
 from .exceptions import (
     InconsistentDirectionError,
     InvariantViolation,
@@ -35,14 +36,15 @@ _SLD_CUTOFF = 1e-14
 
 def _check_info_matrix(entries, what):
     entries = np.asarray(entries, dtype=float)
+    mags = np.abs(entries)
     # np.allclose(entries, entries.T, rtol=1e-5, atol) for finite entries;
     # NaN or inf fails
-    atol = _SYM_TOL * max(1.0, np.abs(entries).max())
-    if not (np.abs(entries - entries.T)
-            <= atol + 1e-5 * np.abs(entries.T)).all():
+    atol = _SYM_TOL * max(1.0, mags.max())
+    if not (np.abs(entries - entries.T) <= atol + 1e-5 * mags.T).all():
         raise InconsistentDirectionError(f"{what} must be symmetric")
-    w = np.linalg.eigvalsh(0.5 * (entries + entries.T))
-    norm = max(np.abs(w).max(), 1e-300)
+    # ascending, so the largest magnitude is at one end
+    w = eigvalsh(0.5 * (entries + entries.T)).tolist()
+    norm = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] < -_PSD_FLOOR * norm:
         raise InconsistentDirectionError(
             f"{what} has negative eigenvalue {w[0]:.3e}")
@@ -83,9 +85,13 @@ class BoundReport:
 
 def density_gradient(model):
     """The k Hermitian traceless matrices d(rho)/d(theta_i), stacked."""
+    return _density_gradient(model, density_from_cholesky(model))
+
+
+def _density_gradient(model, rho):
+    """`density_gradient` of the model, whose state rho the caller has."""
     t4 = triangular(model)
     lam = model.lambda_scale
-    rho = density_from_cholesky(model)
     E = T_BASIS[:model.nparams]
     dw = np.einsum('iab,cb->iac', E, t4.conj())     # E_i T*
     dw = dw + np.transpose(dw.conj(), (0, 2, 1))    # + T E_i*
@@ -97,20 +103,24 @@ def density_gradient(model):
 def fisher_analytic(model, pset):
     """Exact Poisson Fisher matrix J_ij = sum (1/M) dM_i dM_j, the means
     M at the model's own scale."""
+    return FisherMatrix(entries=_fisher_entries(model, pset),
+                        rank_model=model.rank, at_theta=model.params.copy(),
+                        acquisition_scale=model.lambda_scale)
+
+
+def _fisher_entries(model, pset):
+    """`fisher_analytic`'s entries, not yet checked."""
     m, dm = means_and_derivatives(model.params, pset)
     scale = max(model.lambda_scale, 1.0)
     alive = m > 1e-9 * scale
-    dead_grad = np.abs(dm[~alive]).max() if (~alive).any() else 0.0
-    if dead_grad > 1e-9 * scale:
-        raise UnboundedInformationError(
-            "a measurement mean vanishes while its derivative does not; "
-            "the Fisher information diverges in that direction")
-    entries = np.einsum('ni,n,nj->ij', dm[alive], 1.0 / m[alive],
-                        dm[alive])
-    entries = 0.5 * (entries + entries.T)
-    return FisherMatrix(entries=entries, rank_model=model.rank,
-                        at_theta=model.params.copy(),
-                        acquisition_scale=model.lambda_scale)
+    if not alive.all():
+        if np.abs(dm[~alive]).max() > 1e-9 * scale:
+            raise UnboundedInformationError(
+                "a measurement mean vanishes while its derivative does not; "
+                "the Fisher information diverges in that direction")
+        m, dm = m[alive], dm[alive]
+    entries = np.einsum('ni,n,nj->ij', dm, 1.0 / m, dm)
+    return 0.5 * (entries + entries.T)
 
 
 def fisher_mc(model, pset, n_samples, seed=0):
@@ -147,7 +157,7 @@ def sld(rho, drho):
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    p, u = np.linalg.eigh(rho)
+    p, u = eigh(rho)
     s = p[:, None] + p[None, :]
     keep = s > _SLD_CUTOFF * s.max()
     d = u.conj().T @ drho @ u
@@ -168,12 +178,18 @@ def sld_fisher(model):
 
     For Hermitian rho and L that is Re Tr[rho L_i L_j].
     """
-    rho = density_from_cholesky(model)
-    L = sld(rho, density_gradient(model))
-    entries = np.einsum('iab,jba->ij', rho @ L, L).real
-    entries = 0.5 * (entries + entries.T)
-    return SldFisherMatrix(entries=entries, rank_model=model.rank,
+    return SldFisherMatrix(entries=_sld_entries(model),
+                           rank_model=model.rank,
                            at_theta=model.params.copy())
+
+
+def _sld_entries(model):
+    """`sld_fisher`'s entries, not yet checked; the model's state is
+    built once, for its gradient and its SLDs."""
+    rho = density_from_cholesky(model)
+    L = sld(rho, _density_gradient(model, rho))
+    entries = np.einsum('iab,jba->ij', rho @ L, L).real
+    return 0.5 * (entries + entries.T)
 
 
 def bound_coefficient(model, pset):
@@ -181,10 +197,13 @@ def bound_coefficient(model, pset):
 
     C = (1/8) Tr[J_SLD pinv(Jbar)] with Jbar the Fisher matrix divided
     by the acquisition scale; pinv drops directions of Jbar below
-    _PINV_RCOND of its largest singular value.
+    _PINV_RCOND of its largest singular value.  It runs the checks of
+    `fisher_analytic` and `sld_fisher` on their entries without building
+    their matrix objects.
     """
-    jbar = fisher_analytic(model, pset).entries / model.lambda_scale
-    jsld = sld_fisher(model).entries
+    jbar = _check_info_matrix(_fisher_entries(model, pset),
+                              "Fisher matrix") / model.lambda_scale
+    jsld = _check_info_matrix(_sld_entries(model), "SLD Fisher matrix")
     c = 0.125 * float(np.trace(jsld @ pinv(jbar, rcond=_PINV_RCOND)))
     if c <= 0:
         raise UnboundedInformationError(

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1
 
+from ._lapack import solve1, svdvals
 from .exceptions import InvariantViolation, InversionError
 from .states import RANK_NPARAMS, T_BASIS, pauli_basis
 
@@ -177,13 +177,13 @@ def _solve_counts(ns, pset):
     """The x solving B x = n for counts n, (16,) or an (m, 16) stack,
     or None for an incomplete set: the Pauli coefficients of the linear
     inversions X_n = sum_mu x_mu Gamma_mu, whose means are the counts.
-    `solve1` is np.linalg.solve's gufunc without its per-call checks."""
+    `solve1` is np.linalg.solve's gufunc (see `_lapack`)."""
     return solve1(pset.b, ns) if pset.complete else None
 
 
 def completeness_check(pset):
     """(complete, condition_number) from the singular values of B."""
-    s = np.linalg.svd(pset.b, compute_uv=False)
+    s = svdvals(pset.b)
     complete = bool(s[-1] > 1e-10 * s[0])
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return complete, cond
@@ -211,8 +211,17 @@ def mean_counts(model, pset):
 
 def mean_counts_of_density(rho, lam, pset):
     """Means lambda * Tr[M_nu rho] for a density matrix at scale lambda."""
-    m = lam * np.real(np.einsum("nij,ji->n", pset.operators, rho))
-    return np.clip(m, 0.0, None)
+    return _scaled_means(_probabilities(rho, pset), lam)
+
+
+def _probabilities(rho, pset):
+    """Tr[M_nu rho] for each operator M_nu of the set, as reals."""
+    return np.real(np.einsum("nij,ji->n", pset.operators, rho))
+
+
+def _scaled_means(p, lam):
+    """The means at scale lam of a state whose `_probabilities` are p."""
+    return np.clip(lam * p, 0.0, None)
 
 
 def _check_count_vector(counts):

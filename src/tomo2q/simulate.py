@@ -17,30 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# run_sweep takes the truth's square root once and derives the Bures
-# distance from the fidelity it has; fidelity and bures_distance_sq stay
-# importable here because perfbench's tracing patches them
 from .estimation import (EstimationResult, _closed_form_step, _is_integer,
                          maice, mle)
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
+# run_sweep decomposes the truth once, draws from means computed once
+# and derives the Bures distance from the fidelity it has, so it calls
+# none of mean_counts_of_density, fidelity and bures_distance_sq; they
+# stay importable here because perfbench's tracing patches them
 from .projectors import (
     ProjectorSet,
+    _probabilities,
+    _scaled_means,
     inseparable_projector_set,
     local_projector_set,
-    mean_counts_of_density,
+    mean_counts_of_density,  # noqa: F401
     product_ket,
 )
 from .states import (
     CholeskyModel,
+    _cholesky_from_eigh,
+    _density_eigh,
     _density_errors,
     _fidelities_of_sqrt,
+    _sqrt_from_eigh,
     bures_distance_sq,  # noqa: F401
     check_density,
-    cholesky_from_density,
     density_from_cholesky,
     fidelity,  # noqa: F401
-    psd_sqrt,
 )
 
 _PRESET_EPS = {"mixed": 0.0, "product": 0.05, "bell": 0.05}
@@ -119,9 +123,12 @@ class SimulationConfig:
 
     def resolve_state(self):
         """The truth's density matrix, checked by check_density."""
+        return check_density(self._unchecked_state())
+
+    def _unchecked_state(self):
         if isinstance(self.true_state, CholeskyModel):
-            return check_density(density_from_cholesky(self.true_state))
-        return check_density(preset_state(self.true_state, self.epsilon))
+            return density_from_cholesky(self.true_state)
+        return preset_state(self.true_state, self.epsilon)
 
     def resolve_set(self):
         return (local_projector_set() if self.basis == "local"
@@ -158,18 +165,17 @@ def sample_counts(rho_true, pset, lam, rng):
     """Independent Poisson counts at means lambda Tr[P_nu rho]."""
     if lam <= 0:
         raise InvariantViolation("lambda must be positive")
-    means = mean_counts_of_density(rho_true, lam, pset)
+    return _draw(_scaled_means(_probabilities(rho_true, pset), lam), lam, rng)
+
+
+def _draw(means, lam, rng):
+    """`sample_counts` from its means at lambda = lam."""
     try:
         counts = rng.poisson(means)
     except ValueError as e:
         raise InvariantViolation(
             f"cannot draw Poisson counts at lambda={lam:g}: {e}") from None
-    return counts.astype(np.int64)
-
-
-def _state_rank(rho, tol=1e-10):
-    w = np.linalg.eigvalsh(rho)
-    return max(1, int(np.sum(w > tol * max(1.0, w.max()))))
+    return counts.astype(np.int64, copy=False)
 
 
 def true_model(rho_true, rank=None):
@@ -179,8 +185,16 @@ def true_model(rho_true, rank=None):
     matching the convention that bounds for degenerate states live in
     their minimal-rank coordinates.
     """
-    r = _state_rank(rho_true) if rank is None else int(rank)
-    return cholesky_from_density(rho_true, 1.0, r)
+    _, w, v = _density_eigh(rho_true)
+    return _true_model(w, v, rank)
+
+
+def _true_model(w, v, rank=None):
+    """`true_model` of the state with eigenvalues w and eigenvectors v;
+    its minimal rank counts the eigenvalues above 1e-10 * max(1, max w)."""
+    if rank is None:
+        rank = max(1, int(np.sum(w > 1e-10 * max(1.0, w.max()))))
+    return _cholesky_from_eigh(w, v, 1.0, int(rank))
 
 
 def run_sweep(config):
@@ -197,26 +211,29 @@ def run_sweep(config):
     from the counts alone, proves that it wins the AIC comparison, as
     it does in most trials of a full-rank truth at lambda >= 1e3.  Every
     other trial falls back to its own `mle(4, ...)` or `maice` fit.  The
-    estimates' density checks and fidelities to the truth, whose square
-    root is taken once, run on one stack too.  A trial whose estimate
-    fails with InvariantViolation (16 zero counts, or a `rho_hat` that
-    fails check_density) ends the sweep with an error that names its
-    lambda and trial index; as all counts are drawn first, a count that
-    cannot be drawn ends it before any estimate.  Every estimate is the
-    one its counts alone give, so the stacking changes no bit of the
-    result.
+    estimates' density checks and fidelities to the truth run on one
+    stack too.  The truth is decomposed once, by `eigh`: its density
+    check, minimal rank, Cholesky model and square root all read that
+    one decomposition.  Its measurement probabilities Tr[P_nu rho] are
+    computed once and scaled per lambda, and each trial draws from them
+    with its own generator.  A trial whose estimate fails with
+    InvariantViolation (16 zero counts, or a `rho_hat` that fails
+    check_density) ends the sweep with an error that names its lambda
+    and trial index; as all counts are drawn first, a count that cannot
+    be drawn ends it before any estimate.  Every estimate is the one its
+    counts alone give, so the stacking changes no bit of the result.
     """
-    rho_true = config.resolve_state()
-    sqrt_true = psd_sqrt(rho_true)
+    rho_true, w, v = _density_eigh(config._unchecked_state())
     pset = config.resolve_set()
-    model_true = true_model(rho_true)
-    report = bound_coefficient(model_true, pset)
+    report = bound_coefficient(_true_model(w, v), pset)
 
     lam_values = np.array(sorted(config.rate * t
                                  for t in config.acquisition_times))
     trials, pick = config.trials, config.estimator == "maice"
-    counts = [sample_counts(rho_true, pset, lam,
-                            np.random.default_rng([config.seed, li, ti]))
+    means = _scaled_means(_probabilities(rho_true, pset),
+                          lam_values[:, None])
+    counts = [_draw(means[li], lam,
+                    np.random.default_rng([config.seed, li, ti]))
               for li, lam in enumerate(lam_values) for ti in range(trials)]
     fits = _closed_form_step(np.array(counts, dtype=float), pset, pick)
     excluded = []
@@ -243,7 +260,7 @@ def run_sweep(config):
             li, ti = divmod(k, trials)
             raise InvariantViolation(
                 f"lambda={lam_values[li]:g}, trial {ti}: {error}")
-    fids = _fidelities_of_sqrt(sqrt_true, rhos)
+    fids = _fidelities_of_sqrt(_sqrt_from_eigh(w, v), rhos)
 
     means_f, means_b, stds_b, covs, records_all = [], [], [], [], []
     for li in range(len(lam_values)):
@@ -259,8 +276,9 @@ def run_sweep(config):
             row[:2 + len(theta)] = (r.fidelity_to_true, r.bures_sq_to_true,
                                     *theta)
         fvals, bvals, tarr = rows[:, 0], rows[:, 1], rows[:, 2:]
-        means_f.append(fvals.mean())
-        means_b.append(bvals.mean())
+        # np.mean's sum and division, without its wrapper
+        means_f.append(np.add.reduce(fvals) / len(fvals))
+        means_b.append(np.add.reduce(bvals) / len(bvals))
         stds_b.append(bvals.std(ddof=1) if len(bvals) > 1 else 0.0)
         covs.append(float(np.trace(np.cov(tarr.T))) if len(tarr) > 1
                     else 0.0)

@@ -14,6 +14,11 @@ qubit slowest). Three interchangeable parametrizations are provided:
 
 The metrics run check_density, which tolerates eigenvalues down to
 -PSD_CLIP_FLOOR as round-off, and clip those to zero where they use them.
+A state that is checked and then decomposed is decomposed once:
+`_density_eigh` runs the check on the eigenvalues of its `eigh`, and
+cholesky_from_density, fidelity and a sweep's truth read that one
+decomposition; psd_sqrt and the sweep take the square root from it by
+the same `_sqrt_from_eigh`.
 
 density_from_pauli, density_from_cholesky, check_density and fidelity
 each run a private form that takes a stack of inputs, on a stack of
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import eigh, eigvalsh
 from .exceptions import DegenerateModelError, InvariantViolation
 
 SIGMA = np.array([
@@ -120,32 +126,66 @@ def pauli_basis():
 def check_density(rho):
     """Validate the density-matrix invariants, returning rho as ndarray.
 
-    Hermiticity and unit trace to 1e-12; smallest eigenvalue >= -1e-10
-    (tiny negatives are tolerated here and clipped at the point of use).
+    Finite entries; Hermiticity and unit trace to 1e-12; smallest
+    eigenvalue >= -1e-10 (tiny negatives are tolerated here and clipped
+    at the point of use).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
-    error = _density_errors(rho[None])[0]
-    if error is not None:
-        raise InvariantViolation(error)
+    rho = _square(rho)
+    _raise_first(_density_errors(rho[None]))
     return rho
 
 
-def _density_errors(rhos):
+def _density_eigh(rho):
+    """(rho, w, v): `check_density(rho)` and the eigenvalues w and
+    eigenvectors v of rho, whose w[0] the check's PSD test reads; a
+    non-finite rho fails the check before any decomposition."""
+    rho = _square(rho)
+    w = v = None
+    if np.isfinite(rho).all():
+        w, v = eigh(rho)
+    _raise_first(_density_errors(rho[None], None if w is None else w[None]))
+    return rho, w, v
+
+
+def _square(rho):
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
+    return rho
+
+
+def _raise_first(errors):
+    if errors[0] is not None:
+        raise InvariantViolation(errors[0])
+
+
+def _density_errors(rhos, w=None):
     """`check_density`'s verdict on each member of an (m, 4, 4) complex
-    stack: None where the member passes, else the message it raises."""
-    herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    tr = np.trace(rhos, axis1=1, axis2=2)
-    wmin = np.linalg.eigvalsh(rhos)[:, 0]
+    stack: None where the member passes, else the message it raises.
+    w holds the members' ascending eigenvalues, computed here when None.
+    A member with a non-finite entry fails on its first such entry; the
+    other tests see it as the zero matrix, and a stack with no finite
+    member is not decomposed at all."""
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    safe = rhos if finite.all() else np.where(finite[:, None, None], rhos, 0)
+    herm = np.abs(safe - safe.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    tr = np.trace(safe, axis1=1, axis2=2)
+    if w is None:
+        w = eigvalsh(safe) if finite.any() else np.zeros((len(rhos), 1))
+    wmin = w[:, 0]
     errors = []
-    for h, t, w in zip(herm.tolist(), tr.tolist(), wmin.tolist()):
-        if h > 1e-12:
+    for k, (ok, h, t, w0) in enumerate(zip(finite.tolist(), herm.tolist(),
+                                           tr.tolist(), wmin.tolist())):
+        if not ok:
+            i, j = divmod(int(np.flatnonzero(~np.isfinite(rhos[k]))[0]), 4)
+            errors.append(f"entry ({i}, {j}) is {complex(rhos[k, i, j])}, "
+                          "not finite")
+        elif h > 1e-12:
             errors.append(f"not Hermitian (defect {h:.2e})")
         elif abs(t - 1.0) > 1e-12:
             errors.append(f"trace is {t:.15g}, expected 1")
-        elif w < -PSD_CLIP_FLOOR:
-            errors.append(f"not PSD (eigenvalue {w:.2e})")
+        elif w0 < -PSD_CLIP_FLOOR:
+            errors.append(f"not PSD (eigenvalue {w0:.2e})")
         else:
             errors.append(None)
     return errors
@@ -200,18 +240,18 @@ def cholesky_from_density(rho, lam, rank=4):
     that rank) and fixes the column phases so that the diagonal of T is
     real and non-negative.
     """
-    rho = check_density(rho)
-    if lam <= 0:
-        raise InvariantViolation("lambda must be positive")
-    if rank not in RANK_NPARAMS:
-        raise InvariantViolation(f"rank must be 1..4, got {rank}")
-    w, v = np.linalg.eigh(rho)
+    _, w, v = _density_eigh(rho)
     return _cholesky_from_eigh(w, v, lam, rank)
 
 
 def _cholesky_from_eigh(w, v, lam, rank):
     """`cholesky_from_density` from the eigenvalues w and eigenvectors v
-    of rho, for a caller that truncates one rho at several ranks."""
+    of rho, for a caller that truncates one rho at several ranks or has
+    decomposed rho already."""
+    if lam <= 0:
+        raise InvariantViolation("lambda must be positive")
+    if rank not in RANK_NPARAMS:
+        raise InvariantViolation(f"rank must be 1..4, got {rank}")
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1][:rank]
     a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho
@@ -229,20 +269,25 @@ def _cholesky_from_eigh(w, v, lam, rank):
 def psd_sqrt(m):
     """Hermitian square root of a matrix that passed check_density, its
     round-off negative eigenvalues clipped to zero."""
-    w, u = np.linalg.eigh(m)
+    return _sqrt_from_eigh(*eigh(np.asarray(m)))
+
+
+def _sqrt_from_eigh(w, u):
+    """`psd_sqrt` of the matrix with eigenvalues w and eigenvectors u."""
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
 def fidelity(rho1, rho2):
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1]."""
-    rho1 = check_density(rho1)
-    return _fidelities_of_sqrt(psd_sqrt(rho1), check_density(rho2)[None])[0]
+    _, w, u = _density_eigh(rho1)
+    return _fidelities_of_sqrt(_sqrt_from_eigh(w, u),
+                               check_density(rho2)[None])[0]
 
 
 def _fidelities_of_sqrt(s, rhos):
     """`fidelity(rho1, rho2)` for each member rho2 of an (m, 4, 4) stack
     of checked density matrices, from s = psd_sqrt(rho1), as a list."""
-    w = np.linalg.eigvalsh(s @ rhos @ s)
+    w = eigvalsh(s @ rhos @ s)
     f = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
     return [min(max(v, 0.0), 1.0) for v in f.tolist()]
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from tomo2q.estimation import (
     _Inversion,
     _canonical_gauge,
     _cholesky,
+    _fit_results,
+    _invert,
     _log_factorials,
     _loss_exceeds,
     _lower_rank_bounds,
@@ -17,7 +21,9 @@ from tomo2q.estimation import (
     _negloglik_and_grad,
     _newton,
     _padded_warm,
+    _poisson,
     _rank4_wins,
+    _rank_bounds,
     _starts,
     EstimationResult,
     aic,
@@ -650,6 +656,56 @@ def test_newton_stops_at_the_damping_cap(local_set):
     assert warmed.theta_hat.tobytes() == cold.theta_hat.tobytes()
     assert (warmed.log_likelihood, warmed.iterations) == (
         cold.log_likelihood, cold.iterations)
+
+
+def test_overflowing_warm_start_leaks_no_warning(local_set):
+    # the means of a 1e160 start overflow; the fit ignores the overflow
+    # flag as it ignores a failed factorization's, so no RuntimeWarning
+    # reaches the caller, and the start loses to the others.  Fails if
+    # either errstate of the fits (Newton's or BFGS's) drops "over"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warmed = [mle(r, C01_GRID, local_set, warm=np.full(7, 1e160))
+                  for r in (1, 2)]
+    for r, fit in zip((1, 2), warmed):
+        cold = mle(r, C01_GRID, local_set)
+        assert fit.theta_hat.tobytes() == cold.theta_hat.tobytes()
+        assert (fit.log_likelihood, fit.iterations) == (
+            cold.log_likelihood, cold.iterations)
+
+
+def test_stacked_closing_score_has_each_members_own_bits(local_set,
+                                                          insep_set):
+    # `_fit_results` scores a stack one matrix-vector product per row;
+    # each member's log-likelihood, score test and scale must be those of
+    # the one-vector kernel `_negloglik_and_grad` that the fits iterate
+    # on, and `_rank_bounds`' saturated log-likelihood on a stack that
+    # of each member's own `_poisson`.  Fails if either runs one matrix
+    # product over the whole stack, or the saturated log-likelihood one
+    # einsum
+    rng = np.random.default_rng(41)
+    for pset in (local_set, insep_set):
+        ns = rng.poisson(rng.uniform(1.0, 3e4, (40, 16))).astype(float) + 1.0
+        lgammas = [_log_factorials(n) for n in ns]
+        for rank, k in RANK_NPARAMS.items():
+            thetas = rng.standard_normal((40, k)) * 40.0
+            rhos = np.array([density_from_cholesky(CholeskyModel(rank, t))
+                             for t in thetas])
+            fits = _fit_results(rank, thetas, rhos, ns, pset, lgammas, 3)
+            for fit, theta, n, lgamma in zip(fits, thetas, ns, lgammas):
+                f, g = _negloglik_and_grad(theta, n, pset, lgamma)
+                assert fit.log_likelihood.hex() == (-float(f)).hex()
+                assert fit.converged == (max(map(abs, g.tolist()))
+                                         <= 1e-6 * max(1.0, abs(float(f))))
+                assert fit.lambda_hat.hex() == float(theta @ theta).hex()
+                assert fit.iterations == 3
+        xns = _invert(ns, pset)[1]
+        stacked = _rank_bounds(ns, xns, lgammas, pset)
+        for i, bounds in enumerate(stacked):
+            ll_sat = -float(_poisson(ns[i], ns[i], lgammas[i])[0])
+            assert bounds[0].hex() == ll_sat.hex()
+            assert bounds == _rank_bounds(ns[i:i + 1], xns[i:i + 1],
+                                          lgammas[i:i + 1], pset)[0]
 
 
 def test_maice_selects_true_rank_and_orders_loglik(local_set):

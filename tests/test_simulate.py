@@ -20,7 +20,7 @@ from tomo2q.simulate import (
     tile_estimates,
     true_model,
 )
-from tomo2q.states import check_density, fidelity
+from tomo2q.states import CholeskyModel, check_density, fidelity
 
 VN_LINE = "615 553 613 605 550 576 596 609 575 622 577 601 574 569 591 569"
 
@@ -303,6 +303,36 @@ def test_sweep_of_a_cholesky_model_truth():
         assert np.array_equal(a.counts, b.counts)
     assert by_model.mean_fidelity == pytest.approx(by_name.mean_fidelity,
                                                    abs=1e-9)
+
+
+def test_sweep_truth_path_is_the_public_functions():
+    # run_sweep decomposes its truth once and draws every trial from
+    # means computed once per sweep; its bound, counts and fidelities must
+    # still be, bit for bit, what the public functions give for that
+    # truth.  Fails if the shared means are scaled by the wrong lambda
+    # (lam_values[::-1] for lam_values in run_sweep's means), or if the
+    # truth's model or square root reads another decomposition
+    from tomo2q.fisher import bound_coefficient
+    model = CholeskyModel(3, np.random.default_rng(5).standard_normal(15))
+    for truth in ("mixed", "product", "bell", model):
+        for basis in ("local", "inseparable"):
+            cfg = small_config(true_state=truth, basis=basis, trials=2,
+                               acquisition_times=(0.2, 20.0), seed=9)
+            rho, pset = cfg.resolve_state(), cfg.resolve_set()
+            res = run_sweep(cfg)
+            ref = bound_coefficient(true_model(rho), pset)
+            assert (res.bound_report.coefficient.hex()
+                    == ref.coefficient.hex())
+            assert res.bound_report.theta.tobytes() == ref.theta.tobytes()
+            for li, (lam, recs) in enumerate(zip(res.lam_values,
+                                                 res.records)):
+                for ti, rec in enumerate(recs):
+                    rng = np.random.default_rng([cfg.seed, li, ti])
+                    assert np.array_equal(
+                        rec.counts, sample_counts(rho, pset, lam, rng))
+                    assert rec.counts.dtype == np.int64
+                    assert (rec.fidelity_to_true.hex() == fidelity(
+                        rho, rec.result.rho_hat).hex()), (truth, basis)
 
 
 def test_run_sweep_failure_rate_guard(monkeypatch):

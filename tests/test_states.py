@@ -142,6 +142,39 @@ def test_check_density_rejections():
         check_density(neg)
 
 
+def test_check_density_rejects_a_non_finite_entry_before_decomposing(
+        monkeypatch):
+    # every comparison with NaN is False, so a NaN diagonal entry used to
+    # pass, and an all-NaN matrix raised numpy's LinAlgError; the check
+    # now names the first entry that is not finite, and decomposes
+    # nothing.  Fails if the finiteness test goes (the raw LAPACK gufuncs
+    # return NaN, or a NaN-free spectrum, where np.linalg raised)
+    from tomo2q import states
+
+    def no_decomposition(*args):
+        raise AssertionError("decomposed a non-finite matrix")
+
+    monkeypatch.setattr(states, "eigh", no_decomposition)
+    monkeypatch.setattr(states, "eigvalsh", no_decomposition)
+    one_nan = np.eye(4, dtype=complex) / 4.0
+    one_nan[2, 2] = np.nan
+    inf = np.eye(4) / 4.0
+    inf[1, 3] = np.inf
+    cases = ((one_nan, r"entry \(2, 2\) is \(nan\+0j\)"),
+             (np.full((4, 4), np.nan), r"entry \(0, 0\)"),
+             (inf, r"entry \(1, 3\) is \(inf\+0j\)"))
+    for rho, message in cases:
+        with pytest.raises(InvariantViolation, match=message):
+            check_density(rho)
+        with pytest.raises(InvariantViolation, match=message):
+            cholesky_from_density(rho, 1.0)
+    monkeypatch.undo()
+    good = np.eye(4) / 4.0
+    for args in ((one_nan, good), (good, one_nan)):
+        with pytest.raises(InvariantViolation, match="not finite"):
+            fidelity(*args)
+
+
 def test_fidelity_metric_properties():
     rng = np.random.default_rng(6)
     rho = density_from_cholesky(random_model(4, rng))
