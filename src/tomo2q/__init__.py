@@ -43,14 +43,11 @@ from .estimation import (
     EstimationResult,
     aic,
     log_likelihood,
-    log_likelihood_gradient,
     maice,
     mle,
 )
 from .fisher import (
     BoundReport,
-    FisherMatrix,
-    SldFisherMatrix,
     bound_coefficient,
     bures_quadratic_form,
     fisher_analytic,
@@ -82,14 +79,12 @@ __all__ = [
     "CountsParseError",
     "DegenerateModelError",
     "EstimationResult",
-    "FisherMatrix",
     "InconsistentDirectionError",
     "InvariantViolation",
     "InversionError",
     "ProjectorSet",
     "RANK_NPARAMS",
     "SimulationConfig",
-    "SldFisherMatrix",
     "SweepResult",
     "TomographyError",
     "TrialRecord",
@@ -113,7 +108,6 @@ __all__ = [
     "linear_tomography",
     "local_projector_set",
     "log_likelihood",
-    "log_likelihood_gradient",
     "maice",
     "mean_counts",
     "mean_counts_of_density",

@@ -25,8 +25,7 @@ the AIC, fits the members it proves in closed form, and leaves every
 other member to its own `maice` fit.  Every step on a stack works
 member by member, a LAPACK gufunc (see `_lapack`) or one matrix-vector
 product per row, so a member's fit has the bits of its fit alone; that
-includes the closing score (`_fit_results`) and the saturated
-log-likelihood.
+includes the closing score (`_fit_results`).
 
 Every other fit starts from the inversion clipped to the PSD cone,
 diagonalized once per table, each rank truncating that
@@ -54,7 +53,6 @@ optima the fits reach; numpy has no triangular-solve gufunc for it.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +70,11 @@ from .states import (
     CholeskyModel,
     RANK_NPARAMS,
     T_BASIS,
+    _check_rank,
     _cholesky_densities,
     _cholesky_from_eigh,
     _density_eigh,
+    _is_integer,
     _pauli_densities,
     density_from_cholesky,
     density_from_pauli,
@@ -117,8 +117,7 @@ class EstimationResult:
 
 def aic(log_likelihood, rank):
     """-2 logL + 2k with k the parameter count of the rank model."""
-    if rank not in RANK_NPARAMS:
-        raise InvariantViolation("rank must be one of 1, 2, 3, 4")
+    _check_rank(rank)
     return -2.0 * float(log_likelihood) + 2.0 * RANK_NPARAMS[rank]
 
 
@@ -132,13 +131,6 @@ def log_likelihood(model, counts, pset):
 def _log_factorials(n):
     """sum_nu ln(n_nu!)."""
     return math.fsum(math.lgamma(v + 1.0) for v in n.tolist())
-
-
-def log_likelihood_gradient(model, counts, pset):
-    """Closed-form score sum_nu (n/M - 1) dM/dtheta, the fits' gradient
-    negated; their lgamma, 0 here, shifts only the objective."""
-    n = _check_count_vector(counts)
-    return -_negloglik_and_grad(model.params, n, pset, 0.0)[1]
 
 
 def _poisson(n, m, lgamma):
@@ -357,9 +349,7 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     `_inversion` is the counts' `_Inversion`, built here when None;
     `maice` shares one among its fits.
     """
-    if not _is_integer(rank) or rank not in RANK_NPARAMS:
-        raise InvariantViolation(
-            f"rank must be an integer from 1 to 4, got {rank!r}")
+    _check_rank(rank)
     _check_restarts(restarts)
     n = _check_count_vector(counts)
     if not n.any():
@@ -442,12 +432,6 @@ def _canonical_gauge(theta, rank):
     return theta
 
 
-# bool is an Integral, so without the bool test True would pass as the
-# number 1 and False as 0
-def _is_integer(x):
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def _check_restarts(restarts):
     if not _is_integer(restarts) or restarts < 0:
         raise InvariantViolation(
@@ -478,23 +462,13 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     return best, tuple(results)
 
 
-def _lower_rank_bounds(inv, pset):
-    """`_rank_bounds` of the counts of the `_Inversion` inv, or None
-    unless `inv.factor` exists: the set is complete, all 16 counts are
-    positive and X_n is positive definite."""
-    if inv.factor is None:
-        return None
-    return _rank_bounds(inv.n[None], inv.xn[None], [inv.lgamma], pset)[0]
-
-
-def _rank_bounds(ns, xns, lgammas, pset):
-    """(ll_sat, n_min, n_total, (a_1, a_2, a_3)) for each count vector
-    n in the rows of ns, with X_n in xns and sum ln(n!) in lgammas,
-    ll_sat the saturated log-likelihood (every mean equal to its
-    count): every rank-r model, r = 1, 2, 3, falls short of ll_sat by
-    at least L(a_r) = max_c min(n_min h(c), a_r / c).  The set must be
-    complete, and every member's 16 counts positive; the bar of
-    `_rank4_wins` needs X_n positive definite too.
+def _rank_bounds(ns, xns, pset):
+    """(n_min, n_total, (a_1, a_2, a_3)) for each count vector n in the
+    rows of ns, with X_n in xns: every rank-r model, r = 1, 2, 3, falls
+    short of the saturated log-likelihood ll_sat (every mean equal to
+    its count) by at least L(a_r) = max_c min(n_min h(c), a_r / c).
+    The set must be complete, and every member's 16 counts positive;
+    the bar of `_rank4_wins` needs X_n positive definite too.
 
     Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
     ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
@@ -528,13 +502,11 @@ def _rank_bounds(ns, xns, lgammas, pset):
     """
     mus = eigvalsh(xns)[:, ::-1].tolist()
     ss = svdvals(pset.b / np.sqrt(ns)[:, :, None])[:, -1].tolist()
-    ll_sats = (-_poisson(ns, ns, np.array(lgammas))[0]).tolist()
     bounds = []
-    for ll_sat, n_min, n_total, mu, s in zip(
-            ll_sats, ns.min(axis=1).tolist(), ns.sum(axis=1).tolist(), mus,
-            ss):
+    for n_min, n_total, mu, s in zip(ns.min(axis=1).tolist(),
+                                     ns.sum(axis=1).tolist(), mus, ss):
         a = tuple(2.0 * s * s * sum(m * m for m in mu[r:]) for r in (1, 2, 3))
-        bounds.append((ll_sat, n_min, n_total, a))
+        bounds.append((n_min, n_total, a))
     return bounds
 
 
@@ -554,7 +526,7 @@ def _rank4_wins(bounds):
     than k_4 - k_r plus _BOUND_MARGIN per count, which covers the closed
     form's round-off below ll_sat and leaves no tie to fewer
     parameters."""
-    _, n_min, n_total, a = bounds
+    n_min, n_total, a = bounds
     margin = _BOUND_MARGIN * (1.0 + n_total)
     k4 = RANK_NPARAMS[4]
     return all(_loss_exceeds(n_min, a_r, k4 - RANK_NPARAMS[r] + margin)
@@ -574,13 +546,11 @@ def _closed_form_step(ns, pset, prune):
     results = [None] * len(ns)
     _, xns, factors, ok = _invert(ns, pset)
     idx = np.flatnonzero(ok)
-    lgammas = [_log_factorials(n) for n in ns[idx]]
     if prune and idx.size:
-        wins = [_rank4_wins(b)
-                for b in _rank_bounds(ns[idx], xns[idx], lgammas, pset)]
-        idx = idx[wins]
-        lgammas = [lg for lg, w in zip(lgammas, wins) if w]
+        idx = idx[[_rank4_wins(b)
+                   for b in _rank_bounds(ns[idx], xns[idx], pset)]]
     if idx.size:
+        lgammas = [_log_factorials(n) for n in ns[idx]]
         fits = _saturated_fits(factors[idx], ns[idx], lgammas, pset)
         for i, res in zip(idx.tolist(), fits):
             results[i] = res

@@ -10,6 +10,10 @@ C = (1/8) Tr[J_SLD pinv(Jbar)], Jbar the Fisher matrix per unit of
 acquisition scale.  C is invariant under linear reparametrization and
 under rescaling theta to a different lambda at fixed state shape.
 pinv(Jbar) and the SLD solve each have their own cutoff (see sld).
+
+`fisher_analytic`, `fisher_mc` and `sld_fisher` return their matrix as
+a plain (k, k) ndarray, checked to be symmetric and positive
+semidefinite by `_check_info_matrix`.
 """
 
 from dataclasses import dataclass
@@ -35,6 +39,8 @@ _SLD_CUTOFF = 1e-14
 
 
 def _check_info_matrix(entries, what):
+    """`entries` as a float ndarray; InconsistentDirectionError unless
+    it is symmetric and positive semidefinite, both to round-off."""
     entries = np.asarray(entries, dtype=float)
     mags = np.abs(entries)
     # np.allclose(entries, entries.T, rtol=1e-5, atol) for finite entries;
@@ -49,30 +55,6 @@ def _check_info_matrix(entries, what):
         raise InconsistentDirectionError(
             f"{what} has negative eigenvalue {w[0]:.3e}")
     return entries
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    entries: np.ndarray
-    rank_model: int
-    at_theta: np.ndarray
-    acquisition_scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           _check_info_matrix(self.entries, "Fisher matrix"))
-
-
-@dataclass(frozen=True)
-class SldFisherMatrix:
-    entries: np.ndarray
-    rank_model: int
-    at_theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries",
-            _check_info_matrix(self.entries, "SLD Fisher matrix"))
 
 
 @dataclass(frozen=True)
@@ -103,13 +85,6 @@ def _density_gradient(model, rho):
 def fisher_analytic(model, pset):
     """Exact Poisson Fisher matrix J_ij = sum (1/M) dM_i dM_j, the means
     M at the model's own scale."""
-    return FisherMatrix(entries=_fisher_entries(model, pset),
-                        rank_model=model.rank, at_theta=model.params.copy(),
-                        acquisition_scale=model.lambda_scale)
-
-
-def _fisher_entries(model, pset):
-    """`fisher_analytic`'s entries, not yet checked."""
     m, dm = means_and_derivatives(model.params, pset)
     scale = max(model.lambda_scale, 1.0)
     alive = m > 1e-9 * scale
@@ -120,7 +95,7 @@ def _fisher_entries(model, pset):
                 "the Fisher information diverges in that direction")
         m, dm = m[alive], dm[alive]
     entries = np.einsum('ni,n,nj->ij', dm, 1.0 / m, dm)
-    return 0.5 * (entries + entries.T)
+    return _check_info_matrix(0.5 * (entries + entries.T), "Fisher matrix")
 
 
 def fisher_mc(model, pset, n_samples, seed=0):
@@ -134,10 +109,7 @@ def fisher_mc(model, pset, n_samples, seed=0):
     draws = rng.poisson(m, size=(n_samples, 16)).astype(float)
     scores = (draws / m - 1.0) @ dm                 # (S, k)
     entries = scores.T @ scores / n_samples
-    entries = 0.5 * (entries + entries.T)
-    return FisherMatrix(entries=entries, rank_model=model.rank,
-                        at_theta=model.params.copy(),
-                        acquisition_scale=model.lambda_scale)
+    return _check_info_matrix(0.5 * (entries + entries.T), "Fisher matrix")
 
 
 def sld(rho, drho):
@@ -176,20 +148,14 @@ def sld(rho, drho):
 def sld_fisher(model):
     """Quantum information matrix (1/2) Tr[rho (L_i L_j + L_j L_i)].
 
-    For Hermitian rho and L that is Re Tr[rho L_i L_j].
+    For Hermitian rho and L that is Re Tr[rho L_i L_j].  The model's
+    state is built once, for its gradient and its SLDs.
     """
-    return SldFisherMatrix(entries=_sld_entries(model),
-                           rank_model=model.rank,
-                           at_theta=model.params.copy())
-
-
-def _sld_entries(model):
-    """`sld_fisher`'s entries, not yet checked; the model's state is
-    built once, for its gradient and its SLDs."""
     rho = density_from_cholesky(model)
     L = sld(rho, _density_gradient(model, rho))
     entries = np.einsum('iab,jba->ij', rho @ L, L).real
-    return 0.5 * (entries + entries.T)
+    return _check_info_matrix(0.5 * (entries + entries.T),
+                              "SLD Fisher matrix")
 
 
 def bound_coefficient(model, pset):
@@ -197,13 +163,10 @@ def bound_coefficient(model, pset):
 
     C = (1/8) Tr[J_SLD pinv(Jbar)] with Jbar the Fisher matrix divided
     by the acquisition scale; pinv drops directions of Jbar below
-    _PINV_RCOND of its largest singular value.  It runs the checks of
-    `fisher_analytic` and `sld_fisher` on their entries without building
-    their matrix objects.
+    _PINV_RCOND of its largest singular value.
     """
-    jbar = _check_info_matrix(_fisher_entries(model, pset),
-                              "Fisher matrix") / model.lambda_scale
-    jsld = _check_info_matrix(_sld_entries(model), "SLD Fisher matrix")
+    jbar = fisher_analytic(model, pset) / model.lambda_scale
+    jsld = sld_fisher(model)
     c = 0.125 * float(np.trace(jsld @ pinv(jbar, rcond=_PINV_RCOND)))
     if c <= 0:
         raise UnboundedInformationError(
@@ -215,5 +178,4 @@ def bound_coefficient(model, pset):
 def bures_quadratic_form(model, delta_theta):
     """Local Bures metric (1/4) dtheta' J_SLD dtheta."""
     d = np.asarray(delta_theta, dtype=float)
-    j = sld_fisher(model).entries
-    return 0.25 * float(d @ j @ d)
+    return 0.25 * float(d @ sld_fisher(model) @ d)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (EstimationResult, _closed_form_step, _is_integer,
-                         maice, mle)
+from .estimation import EstimationResult, _closed_form_step, maice, mle
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
 # run_sweep decomposes the truth once, draws from means computed once
@@ -36,10 +35,12 @@ from .projectors import (
 )
 from .states import (
     CholeskyModel,
+    _check_rank,
     _cholesky_from_eigh,
     _density_eigh,
     _density_errors,
     _fidelities_of_sqrt,
+    _is_integer,
     _sqrt_from_eigh,
     bures_distance_sq,  # noqa: F401
     check_density,
@@ -185,6 +186,8 @@ def true_model(rho_true, rank=None):
     matching the convention that bounds for degenerate states live in
     their minimal-rank coordinates.
     """
+    if rank is not None:
+        _check_rank(rank)
     _, w, v = _density_eigh(rho_true)
     return _true_model(w, v, rank)
 
@@ -194,7 +197,7 @@ def _true_model(w, v, rank=None):
     its minimal rank counts the eigenvalues above 1e-10 * max(1, max w)."""
     if rank is None:
         rank = max(1, int(np.sum(w > 1e-10 * max(1.0, w.max()))))
-    return _cholesky_from_eigh(w, v, 1.0, int(rank))
+    return _cholesky_from_eigh(w, v, 1.0, rank)
 
 
 def run_sweep(config):
@@ -356,7 +359,8 @@ def emit_results(result, path=None, fmt="csv"):
 
 
 def read_counts(path):
-    """Parse a 16-integer counts file; '#' lines are comments."""
+    """Parse a 16-integer counts file; '#' lines are comments.  A count
+    is a run of ASCII digits."""
     values = []
     last_line = 0
     with io.open(path, "r", encoding="utf-8") as fh:
@@ -365,11 +369,12 @@ def read_counts(path):
             if not stripped or stripped.startswith("#"):
                 continue
             for tok in stripped.split():
-                try:
-                    v = int(tok)
-                except ValueError:
+                # int() also takes '+', '_' and non-ASCII digits
+                digits = tok[1:] if tok.startswith("-") else tok
+                if not (digits.isascii() and digits.isdigit()):
                     raise CountsParseError(
                         f"non-integer count {tok!r}", line_number=ln)
+                v = int(tok)
                 if v < 0:
                     raise CountsParseError(
                         f"negative count {v}", line_number=ln)

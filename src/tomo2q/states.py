@@ -27,6 +27,7 @@ work member by member, so a member's result has the bits of its result
 alone.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,20 @@ PSD_CLIP_FLOOR = 1e-10
 
 # Number of real parameters for each rank model: the first k columns of T.
 RANK_NPARAMS = {1: 7, 2: 12, 3: 15, 4: 16}
+
+
+# bool is an Integral, so without the bool test True would pass as the
+# number 1 and False as 0
+def _is_integer(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_rank(rank):
+    """InvariantViolation unless rank is an integer from 1 to 4; numpy
+    integers pass, bool and integral floats do not."""
+    if not _is_integer(rank) or rank not in RANK_NPARAMS:
+        raise InvariantViolation(
+            f"rank must be an integer from 1 to 4, got {rank!r}")
 
 
 def _cholesky_basis():
@@ -84,8 +99,7 @@ class CholeskyModel:
     params: np.ndarray
 
     def __post_init__(self):
-        if self.rank not in RANK_NPARAMS:
-            raise InvariantViolation(f"rank must be 1..4, got {self.rank}")
+        _check_rank(self.rank)
         p = np.asarray(self.params, dtype=float)
         if p.shape != (RANK_NPARAMS[self.rank],):
             raise InvariantViolation(
@@ -140,17 +154,22 @@ def _density_eigh(rho):
     eigenvectors v of rho, whose w[0] the check's PSD test reads; a
     non-finite rho fails the check before any decomposition."""
     rho = _square(rho)
-    w = v = None
-    if np.isfinite(rho).all():
-        w, v = eigh(rho)
-    _raise_first(_density_errors(rho[None], None if w is None else w[None]))
+    w, v = eigh(rho)
+    _raise_first(_density_errors(rho[None], w[None]))
     return rho, w, v
 
 
 def _square(rho):
+    """rho as a complex ndarray; InvariantViolation unless it is 4x4
+    with finite entries, naming the first entry that is not finite."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
+    bad = np.flatnonzero(~np.isfinite(rho))
+    if bad.size:
+        i, j = divmod(int(bad[0]), 4)
+        raise InvariantViolation(
+            f"entry ({i}, {j}) is {complex(rho[i, j])}, not finite")
     return rho
 
 
@@ -161,26 +180,17 @@ def _raise_first(errors):
 
 def _density_errors(rhos, w=None):
     """`check_density`'s verdict on each member of an (m, 4, 4) complex
-    stack: None where the member passes, else the message it raises.
-    w holds the members' ascending eigenvalues, computed here when None.
-    A member with a non-finite entry fails on its first such entry; the
-    other tests see it as the zero matrix, and a stack with no finite
-    member is not decomposed at all."""
-    finite = np.isfinite(rhos).all(axis=(1, 2))
-    safe = rhos if finite.all() else np.where(finite[:, None, None], rhos, 0)
-    herm = np.abs(safe - safe.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    tr = np.trace(safe, axis1=1, axis2=2)
+    stack of finite matrices (`_square` rejects a non-finite one; in a
+    stack, `eigvalsh` would raise on it): None where the member passes,
+    else the message it raises.  w holds the members' ascending
+    eigenvalues, computed here when None."""
+    herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    tr = np.trace(rhos, axis1=1, axis2=2)
     if w is None:
-        w = eigvalsh(safe) if finite.any() else np.zeros((len(rhos), 1))
-    wmin = w[:, 0]
+        w = eigvalsh(rhos)
     errors = []
-    for k, (ok, h, t, w0) in enumerate(zip(finite.tolist(), herm.tolist(),
-                                           tr.tolist(), wmin.tolist())):
-        if not ok:
-            i, j = divmod(int(np.flatnonzero(~np.isfinite(rhos[k]))[0]), 4)
-            errors.append(f"entry ({i}, {j}) is {complex(rhos[k, i, j])}, "
-                          "not finite")
-        elif h > 1e-12:
+    for h, t, w0 in zip(herm.tolist(), tr.tolist(), w[:, 0].tolist()):
+        if h > 1e-12:
             errors.append(f"not Hermitian (defect {h:.2e})")
         elif abs(t - 1.0) > 1e-12:
             errors.append(f"trace is {t:.15g}, expected 1")
@@ -250,8 +260,7 @@ def _cholesky_from_eigh(w, v, lam, rank):
     decomposed rho already."""
     if lam <= 0:
         raise InvariantViolation("lambda must be positive")
-    if rank not in RANK_NPARAMS:
-        raise InvariantViolation(f"rank must be 1..4, got {rank}")
+    _check_rank(rank)
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1][:rank]
     a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho

@@ -58,6 +58,16 @@ def test_estimate_parse_error_names_its_line(tmp_path, capsys):
         "error: line 2: non-integer count 'seven'\n")
 
 
+def test_estimate_count_with_an_underscore_is_an_error(tmp_path, capsys):
+    # int() reads '5_69' as 569; a count file holds plain decimal digits
+    p = tmp_path / "bad.txt"
+    p.write_text(VN_LINE.rsplit(" ", 1)[0] + " 5_69\n")
+    rc = main(["estimate", "--counts", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: non-integer count '5_69'\n")
+
+
 def test_estimate_count_beyond_int64_is_an_error(tmp_path, capsys):
     p = tmp_path / "big.txt"
     p.write_text("99999999999999999999999 " + " ".join(["1"] * 15) + "\n")

@@ -7,6 +7,7 @@ from tomo2q.exceptions import (
 )
 from tomo2q.fisher import (
     BoundReport,
+    _check_info_matrix,
     bound_coefficient,
     bures_quadratic_form,
     density_gradient,
@@ -15,7 +16,7 @@ from tomo2q.fisher import (
     sld,
     sld_fisher,
 )
-from tomo2q.estimation import log_likelihood_gradient
+from tomo2q.estimation import _negloglik_and_grad
 from tomo2q.projectors import mean_counts
 from tomo2q.states import (
     CholeskyModel,
@@ -31,8 +32,7 @@ from conftest import random_model
 def test_fisher_analytic_basic_properties(local_set):
     rng = np.random.default_rng(30)
     m = random_model(4, rng, lam=1000.0)
-    fm = fisher_analytic(m, local_set)
-    j = fm.entries
+    j = fisher_analytic(m, local_set)
     assert j.shape == (16, 16)
     assert np.allclose(j, j.T, atol=1e-9)
     w = np.linalg.eigvalsh(j)
@@ -42,8 +42,8 @@ def test_fisher_analytic_basic_properties(local_set):
 def test_fisher_mc_matches_analytic(local_set):
     rng = np.random.default_rng(32)
     m = random_model(4, rng, lam=2000.0)
-    ja = fisher_analytic(m, local_set).entries
-    jm = fisher_mc(m, local_set, n_samples=100000, seed=0).entries
+    ja = fisher_analytic(m, local_set)
+    jm = fisher_mc(m, local_set, n_samples=100000, seed=0)
     rel = np.linalg.norm(jm - ja) / np.linalg.norm(ja)
     assert rel <= 0.02
     with pytest.raises(InvariantViolation):
@@ -55,7 +55,7 @@ def test_score_zero_mean_at_truth(local_set):
     rng = np.random.default_rng(34)
     m = random_model(4, rng, lam=3000.0)
     means = mean_counts(m, local_set)
-    s = log_likelihood_gradient(m, means, local_set)
+    s = -_negloglik_and_grad(m.params, means, local_set, 0.0)[1]
     assert np.max(np.abs(s)) < 1e-8
 
 
@@ -106,7 +106,7 @@ def test_sld_fisher_identity_state():
         [1.0, 0, 0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 1.0]))
     assert np.allclose(density_from_cholesky(m), np.eye(4) / 4.0)
     grads = density_gradient(m)
-    js = sld_fisher(m).entries
+    js = sld_fisher(m)
     direct = 4.0 * np.real(np.einsum("iab,jba->ij", grads, grads))
     assert np.allclose(js, direct, atol=1e-10)
 
@@ -207,8 +207,8 @@ def test_pure_state_dead_rows_excluded(local_set):
     theta = np.zeros(7)
     theta[0] = 10.0
     fm = fisher_analytic(CholeskyModel(1, theta), local_set)
-    assert np.all(np.isfinite(fm.entries))
-    w = np.linalg.eigvalsh(fm.entries)
+    assert np.all(np.isfinite(fm))
+    w = np.linalg.eigvalsh(fm)
     assert w[0] > -1e-9
 
 
@@ -216,8 +216,56 @@ def test_fisher_report_fields(local_set):
     rng = np.random.default_rng(41)
     m = random_model(2, rng, lam=100.0)
     fm = fisher_analytic(m, local_set)
-    assert fm.rank_model == 2
-    # the model's own scale, lambda 100
-    assert fm.acquisition_scale == pytest.approx(100.0)
-    assert fm.entries.shape == (12, 12)
-    assert np.array_equal(fm.at_theta, m.params)
+    assert type(fm) is np.ndarray and fm.dtype == float
+    assert fm.shape == (12, 12)
+
+
+@pytest.mark.parametrize("entries, message", [
+    # asymmetric beyond the rtol 1e-5 of np.allclose
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), "must be symmetric"),
+    # symmetric with eigenvalues 3 and -1
+    (np.array([[1.0, 2.0], [2.0, 1.0]]),
+     "has negative eigenvalue -1.000e\\+00"),
+    # every comparison with NaN is False, so NaN fails the symmetry test
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "must be symmetric"),
+])
+def test_info_matrix_check_rejects_what_is_not_an_information_matrix(
+        entries, message):
+    # every information function returns its matrix through this check.
+    # Fails if the symmetry test or the PSD test goes
+    with pytest.raises(InconsistentDirectionError,
+                       match=f"^Fisher matrix {message}$"):
+        _check_info_matrix(entries, "Fisher matrix")
+
+
+def test_information_functions_run_the_check(local_set, monkeypatch):
+    # fisher_analytic, fisher_mc and sld_fisher each return their matrix
+    # through _check_info_matrix under their own name
+    import tomo2q.fisher as fisher_module
+
+    seen = []
+
+    def spy(entries, what):
+        seen.append(what)
+        return "checked"
+
+    monkeypatch.setattr(fisher_module, "_check_info_matrix", spy)
+    m = random_model(3, np.random.default_rng(42), lam=500.0)
+    assert fisher_analytic(m, local_set) == "checked"
+    assert fisher_mc(m, local_set, n_samples=100) == "checked"
+    assert sld_fisher(m) == "checked"
+    assert seen == ["Fisher matrix", "Fisher matrix", "SLD Fisher matrix"]
+
+
+def test_every_public_name_resolves():
+    # __all__ names only what the package defines; the information
+    # functions return checked arrays, so the wrapper types are gone, and
+    # the score is the fits' own gradient
+    import tomo2q
+
+    assert len(set(tomo2q.__all__)) == len(tomo2q.__all__)
+    for name in tomo2q.__all__:
+        assert hasattr(tomo2q, name), name
+    for gone in ("FisherMatrix", "SldFisherMatrix", "log_likelihood_gradient"):
+        assert gone not in tomo2q.__all__
+        assert not hasattr(tomo2q, gone)

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tomo2q.estimation import (_Inversion, _lower_rank_bounds, _rank4_wins,
-                               maice, mle)
+from tomo2q.estimation import _Inversion, _rank4_wins, maice, mle
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -21,6 +20,8 @@ from tomo2q.simulate import (
     true_model,
 )
 from tomo2q.states import CholeskyModel, check_density, fidelity
+
+from conftest import lower_rank_bounds
 
 VN_LINE = "615 553 613 605 550 576 596 609 575 622 577 601 574 569 591 569"
 
@@ -222,8 +223,7 @@ def test_sweep_trial_fit_is_the_standalone_fit():
                 assert rec.result.rank == alone.rank
                 assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
                 assert rec.result.log_likelihood == alone.log_likelihood
-                bounds = _lower_rank_bounds(
-                    _Inversion(rec.counts.astype(float), pset), pset)
+                bounds = lower_rank_bounds(rec.counts, pset)
                 pruned += bounds is not None and _rank4_wins(bounds)
         if state == "bell":
             assert pruned == 0
@@ -284,8 +284,7 @@ def test_fallback_sweep_trial_fits_rank_4_once(monkeypatch):
     cfg = small_config(acquisition_times=(0.2,), trials=6)
     res = run_sweep(cfg)
     assert sum(rank4) == cfg.trials
-    undecided = [_lower_rank_bounds(_Inversion(rec.counts.astype(float),
-                                               pset), pset)
+    undecided = [lower_rank_bounds(rec.counts, pset)
                  for rec in res.records[0]]
     assert sum(b is not None and not _rank4_wins(b)
                for b in undecided) > cfg.trials // 2
@@ -429,7 +428,7 @@ def test_batched_sweep_records_are_the_standalone_fits():
                 assert sum(res.excluded) == 0
             for rec in (r for recs in res.records for r in recs):
                 inv = _Inversion(rec.counts.astype(float), pset)
-                bounds = _lower_rank_bounds(inv, pset)
+                bounds = lower_rank_bounds(rec.counts, pset)
                 closed = (inv.factor is not None if estimator == "mle16"
                           else bounds is not None and _rank4_wins(bounds))
                 if closed or estimator == "mle16":

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,37 @@ def test_cholesky_model_rejects_bad_input():
         CholeskyModel(rank=1, params=np.array([np.nan] + [0.0] * 6))
     with pytest.raises(DegenerateModelError):
         CholeskyModel(rank=3, params=np.zeros(15))
+
+
+@pytest.mark.parametrize("rank", [True, 1.0, 2.5, np.float64(3.0)])
+def test_every_rank_entry_point_rejects_a_non_integer_rank(local_set, rank):
+    # one check, one message, at every function that takes a rank: a bool
+    # or a float used to pass as its integer value somewhere (or to end in
+    # a bare TypeError), and true_model truncated 2.5 to rank 2
+    from tomo2q.estimation import aic, mle
+    from tomo2q.simulate import true_model
+
+    rho = np.eye(4, dtype=complex) / 4.0
+    message = re.escape(f"rank must be an integer from 1 to 4, got {rank!r}")
+    calls = (lambda: CholeskyModel(rank, np.ones(7)),
+             lambda: cholesky_from_density(rho, 100.0, rank),
+             lambda: true_model(rho, rank=rank),
+             lambda: aic(-10.0, rank),
+             lambda: mle(rank, np.ones(16), local_set))
+    for call in calls:
+        with pytest.raises(InvariantViolation, match=message):
+            call()
+
+
+def test_rank_entry_points_take_numpy_integers(local_set):
+    from tomo2q.estimation import aic
+    from tomo2q.simulate import true_model
+
+    rho = np.eye(4, dtype=complex) / 4.0
+    assert CholeskyModel(np.int64(1), np.ones(7)).nparams == 7
+    assert cholesky_from_density(rho, 100.0, np.int64(3)).nparams == 15
+    assert true_model(rho, rank=np.int64(2)).nparams == 12
+    assert aic(-10.0, np.int64(4)) == 52.0
 
 
 def test_density_cholesky_round_trip():
