@@ -2,24 +2,39 @@
 
 A port of scipy 1.17's `_minimize_bfgs` with `jac=True` and its
 More-Thuente line search `line_search_wolfe1`, which runs MINPACK-2's
-DCSRCH/DCSTEP (More and Thuente, ACM TOMS 20, 286, 1994).  Every
-floating-point operation runs in scipy's order, so wherever DCSRCH
-succeeds the port follows scipy bit for bit: from the same start it
-ends at the same point after the same number of iterations and
-objective evaluations.
+DCSRCH/DCSTEP (More and Thuente, ACM TOMS 20, 286, 1994).  `minimize`
+runs one such BFGS from every row of an (m, k) stack of starts, in
+lockstep: each round evaluates the objective once, at the trial points
+of every member still running, and a member leaves the stack when it
+stops.  Each member's floating-point operations run in scipy's order,
+so wherever DCSRCH succeeds every member follows scipy bit for bit: from
+its start it ends at the same point after the same number of iterations
+and objective evaluations, whatever else is on the stack.  A stack of
+one is a single run.
 
-The port keeps the arithmetic and drops numpy's per-scalar overhead.
-DCSRCH's scalar logic runs on Python floats: the objective value and
-the directional derivative are converted once per evaluation.  DCSTEP
-computes on numpy float64 scalars, as scipy does, because its divisions
-and square roots can meet zeros, where numpy returns inf or nan and
-Python raises.  Python floats and numpy float64 are both IEEE double
-arithmetic with the same rounding, so the same operations in scipy's
-order give scipy's bits.
+The port keeps the arithmetic and drops numpy's per-call overhead by
+sharing each call among the members.  The search directions, the dot
+products and the inverse-Hessian updates are row-wise stacked products,
+(m, k, k) @ (m, k, 1), (m, 1, k) @ (m, k, 1) and (m, k, k) @ (m, k, k),
+which numpy runs as one BLAS call per member (gemv, ddot, gemm): the
+call scipy makes for that member alone.  One matrix product over the
+whole stack would change a member's last bits.  A round that ends some
+members' line searches runs the BFGS step on the whole stack and keeps
+it for those members only, which costs less than gathering their rows.
+Each member's DCSRCH is a generator that yields a trial step and
+receives the objective and its directional derivative there; its scalar
+logic runs on Python floats.
+DCSTEP computes on numpy float64 scalars, as scipy does, because its
+divisions and square roots can meet zeros, where numpy returns inf or
+nan and Python raises.  Python floats and numpy float64 are both IEEE
+double arithmetic with the same rounding, so the same operations in
+scipy's order give scipy's bits.  Each member caches its last
+evaluation, as scipy does, so its `nfev` counts its evaluations at
+distinct points.
 
 scipy's fallback search, `line_search_wolfe2` (Nocedal and Wright,
 Numerical Optimization, 1999, algorithms 3.5 and 3.6), is left out.
-When DCSRCH fails the port stops with status 2 at the current point,
+When DCSRCH fails the member stops with status 2 at its current point,
 which is where scipy ends whenever its fallback fails as well.  The
 fallback runs in many rank-1 runs, but it does not change the fit `mle`
 returns beyond round-off in the log-likelihood, and no selected rank or
@@ -66,6 +81,8 @@ import numpy as np
 
 
 class BfgsResult(NamedTuple):
+    """One member's run."""
+
     x: np.ndarray
     fun: float
     nit: int        # iterations, one line search each
@@ -73,78 +90,182 @@ class BfgsResult(NamedTuple):
     status: int     # 0 converged, 1 maxiter, 2 line search failed, 3 NaN
 
 
+class BfgsResults(tuple):
+    """The BfgsResult of each start, in start order.  `nfev` sums the
+    members', so that a caller counting one call's evaluations counts
+    all of them."""
+
+    @property
+    def nfev(self):
+        return sum(r.nfev for r in self)
+
+
 def minimize(fun, x0, args, gtol, maxiter):
-    """Minimize `fun(x, *args) -> (f, gradient)` from x0 by BFGS.
+    """Minimize `fun(x, *args) -> (f, gradient)` by BFGS from each row of
+    the (m, k) stack x0, and return their BfgsResults.
 
-    Stops when max|gradient| <= gtol or after `maxiter` iterations.
+    `fun` takes an (m, k) stack and returns the m values and the (m, k)
+    gradients, each row's computed from that row alone.  A member stops
+    when max|gradient| <= gtol or after `maxiter` iterations.
     """
-    x0 = np.asarray(x0, dtype=float).flatten()
-    last = [None, None, None]       # x, f, gradient of the last evaluation
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        if last[0] is None or not (x == last[0]).all():
-            f, g = fun(x, *args)
-            last[:] = x, f, g
-            nfev += 1
-        return last[1], last[2]
-
-    old_fval, gfk = evaluate(x0)
-    k = 0
-    N = len(x0)
-    I = np.eye(N)
-    Hk = I
+    x0 = np.array(x0, dtype=float)
+    m, k = x0.shape
+    eye = np.eye(k)
+    f, g = fun(x0, *args)
+    fval = f.tolist()       # each member's f at its iterate
     # sets the initial step guess to dx ~ 1
-    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
-    xk = x0
-    warnflag = 0
-    gnorm = np.abs(gfk).max()
-    while (gnorm > gtol) and (k < maxiter):
-        pk = -np.dot(Hk, gfk)
-        ret = _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval,
-                                  old_old_fval)
-        if ret is None:
-            # scipy tries its line_search_wolfe2 here; the port stops
-            warnflag = 2
+    fold = [v + math.sqrt(s) / 2 for v, s in zip(fval, _dots(g, g))]
+    gnorm = _max_abs(g)
+    nit = [0] * m
+    nfev = [1] * m
+    status = [0] * m
+    search = [None] * m
+    results = [None] * m
+    # the running members, one stack row each: row r is member rows[r],
+    # at iterate xk[r] with gradient gk[r], inverse Hessian hk[r] and
+    # direction pk[r]; its line search's trial step is stp[r, 0], and
+    # last[r] is the last point it evaluated
+    rows = list(range(m))
+    xk, gk, last = x0, g, x0
+    hk = np.broadcast_to(eye, (m, k, k)).copy()
+    stp = np.empty((m, 1))
+    stopped = [r for r in rows if not (gnorm[r] > gtol and maxiter > 0)]
+    pk, failed = _start_searches(rows, [r for r in rows if r not in stopped],
+                                 hk, gk, stp, fval, fold, search, status)
+    stopped += failed
+    while True:
+        if stopped:
+            for r in stopped:
+                i = rows[r]
+                results[i] = _result(xk[r], fval[i], gnorm[i], nit[i],
+                                     nfev[i], status[i], maxiter)
+            keep = [r for r in range(len(rows)) if r not in stopped]
+            rows = [rows[r] for r in keep]
+            xk, gk, hk, pk, stp, last = (a[keep] for a in
+                                         (xk, gk, hk, pk, stp, last))
+        if not rows:
             break
-        alpha_k, fval, gfkp1 = ret
-        old_old_fval, old_fval = old_fval, fval
-
-        sk = alpha_k * pk
-        xk = xk + sk
-        yk = gfkp1 - gfk
-        gfk = gfkp1
-        k += 1
-        gnorm = np.abs(gfk).max()
-        if (gnorm <= gtol):
-            break
-        # scipy's relative step test, alpha |pk| <= xrtol (xrtol + |xk|),
-        # at its default xrtol = 0
-        if alpha_k * _norm2(pk) <= 0 and math.isfinite(_norm2(xk)):
-            break
-        if not math.isfinite(old_fval):
-            warnflag = 2
-            break
-
-        rhok_inv = np.dot(yk, sk)
-        if rhok_inv == 0.:
-            rhok = 1000.0
+        sk = stp * pk
+        trial = xk + sk
+        f, g = fun(trial, *args)
+        fresh = np.logical_or.reduce(trial != last, 1).tolist()
+        last = trial
+        stopped = []
+        done, alphas = [], []   # rows whose line search succeeded
+        for r, i, phi, derphi in zip(range(len(rows)), rows, f.tolist(),
+                                     _dots(g, pk)):
+            nfev[i] += fresh[r]
+            try:
+                stp[r] = search[i].send((phi, derphi))
+            except StopIteration as stop:
+                if stop.value is None:
+                    # scipy tries its line_search_wolfe2 here; the port stops
+                    status[i] = 2
+                    stopped.append(r)
+                else:
+                    # the new iterate xk + alpha pk is the trial point
+                    done.append(r)
+                    alphas.append(stop.value[0])
+                    fold[i], fval[i] = fval[i], stop.value[1]
+        if not done:
+            continue
+        # the BFGS step runs on every row, and only the rows in `done`
+        # keep it: the others are mid-search, and their results go unused
+        yk = g - gk
+        if len(done) == len(rows):
+            xk, gk = trial, g
         else:
-            rhok = 1. / rhok_inv
-        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+            kept = _rows_mask(len(rows), done)
+            np.copyto(xk, trial, where=kept)
+            np.copyto(gk, g, where=kept)
+        norms = _max_abs(g)
+        pnorms = np.add.reduce(pk * pk, 1).tolist()
+        update = []
+        for r, alpha in zip(done, alphas):
+            i = rows[r]
+            nit[i] += 1
+            gnorm[i] = norms[r]
+            # scipy's relative step test, alpha |pk| <= xrtol (xrtol +
+            # |xk|), at its default xrtol = 0
+            if (gnorm[i] <= gtol or alpha * math.sqrt(pnorms[r]) <= 0
+                    and math.isfinite(_norm2(xk[r]))):
+                stopped.append(r)
+            elif not math.isfinite(fval[i]):
+                status[i] = 2
+                stopped.append(r)
+            elif gnorm[i] > gtol and nit[i] < maxiter:
+                update.append(r)
+            else:
+                stopped.append(r)
+        if not update:
+            continue
+        scol = sk[:, :, None]
+        rhok = np.array([1000.0 if v == 0.0 else 1.0 / v
+                         for v in _dots(yk, sk)]).reshape(-1, 1, 1)
+        a1 = eye - scol * yk[:, None, :] * rhok
         # scipy's A2 = I - yk sk' rhok is A1' bit for bit; copied to a
         # C-ordered array, it makes the same BLAS call as scipy's A2
-        A2 = A1.T.copy()
-        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
-                                           sk[np.newaxis, :])
+        a2 = a1.transpose(0, 2, 1).copy()
+        h = a1 @ (hk @ a2) + rhok * scol * sk[:, None, :]
+        p, failed = _start_searches(rows, update, h, gk, stp, fval, fold,
+                                    search, status)
+        stopped += failed
+        if len(update) == len(rows):
+            hk, pk = h, p
+        else:
+            kept = _rows_mask(len(rows), update)
+            np.copyto(hk, h, where=kept[:, :, None])
+            np.copyto(pk, p, where=kept)
+    return BfgsResults(results)
 
-    if warnflag != 2:
-        if k >= maxiter:
-            warnflag = 1
-        elif np.isnan(gnorm) or np.isnan(old_fval) or np.isnan(xk).any():
-            warnflag = 3
-    return BfgsResult(x=xk, fun=old_fval, nit=k, nfev=nfev, status=warnflag)
+
+def _dots(a, b):
+    """The dot product of each row of a with the same row of b, one
+    ddot per row, as a list."""
+    return (a[:, None, :] @ b[:, :, None]).ravel().tolist()
+
+
+def _max_abs(a):
+    """max|a| of each row, as a list."""
+    return np.maximum.reduce(np.abs(a), 1).tolist()
+
+
+def _rows_mask(m, rows):
+    """An (m, 1) mask, True on the given rows."""
+    mask = np.zeros((m, 1), dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+def _start_searches(rows, at, h, g, stp, fval, fold, search, status):
+    """The directions -H g of the stack rows with inverse Hessians h and
+    gradients g, and the line search started along it on each row in
+    `at`, its first trial step in stp.  Returns the directions, and the
+    rows whose search fails at once, with status 2."""
+    p = -(h @ g[:, :, None])[:, :, 0]
+    derphi0 = _dots(g, p)
+    failed = []
+    for r in at:
+        i = rows[r]
+        search[i] = _dcsrch(_initial_step(fval[i], fold[i], derphi0[r]),
+                            fval[i], derphi0[r])
+        try:
+            stp[r] = next(search[i])
+        except StopIteration:
+            status[i] = 2
+            failed.append(r)
+    return p, failed
+
+
+def _result(x, fun, gnorm, nit, nfev, status, maxiter):
+    """A stopped member's BfgsResult, with scipy's final status."""
+    if status != 2:
+        if nit >= maxiter:
+            status = 1
+        elif math.isnan(gnorm) or math.isnan(fun) or np.isnan(x).any():
+            status = 3
+    return BfgsResult(x=x.copy(), fun=fun, nit=nit, nfev=nfev,
+                      status=status)
 
 
 def _norm2(x):
@@ -162,29 +283,14 @@ def _initial_step(phi0, old_phi0, derphi0):
     return alpha1
 
 
-def _line_search_wolfe1(evaluate, xk, pk, gfk, old_fval, old_old_fval):
-    """DCSRCH along pk: (alpha, f, gradient) at the step, or None."""
-    gval = [gfk]
-
-    def phi_and_derphi(s):
-        f, gval[0] = evaluate(xk + s*pk)
-        return float(f), float(np.dot(gval[0], pk))
-
-    phi0 = float(old_fval)
-    derphi0 = float(np.dot(gfk, pk))
-    alpha1 = _initial_step(phi0, float(old_old_fval), derphi0)
-    ret = _dcsrch(phi_and_derphi, alpha1, phi0, derphi0)
-    if ret is None:
-        return None
-    return ret[0], ret[1], gval[0]
-
-
-def _dcsrch(phi_and_derphi, stp, finit, ginit):
+def _dcsrch(stp, finit, ginit):
     """MINPACK-2 DCSRCH: a step satisfying the strong Wolfe conditions.
 
-    Returns (stp, phi(stp)) on convergence, None on a warning, an input
-    error or 100 evaluations.  The state that scipy's DCSRCH class keeps
-    in attributes is held in locals here.
+    A generator: it yields each trial step and receives (phi, phi') at
+    it.  It returns (stp, phi(stp)) on convergence, the last step it
+    yielded, and None on a warning, an input error or 100 evaluations.
+    The state that scipy's DCSRCH class keeps in attributes is held in
+    locals here.
     """
     # the Armijo and curvature constants of the strong Wolfe conditions,
     # and the bounds on the step that scipy's BFGS passes
@@ -256,7 +362,7 @@ def _dcsrch(phi_and_derphi, stp, finit, ginit):
                 stp = stx
         if not math.isfinite(stp):
             return None
-        f, g = phi_and_derphi(stp)
+        f, g = yield stp
     return None
 
 

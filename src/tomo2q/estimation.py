@@ -25,7 +25,8 @@ the AIC, fits the members it proves in closed form, and leaves every
 other member to its own `maice` fit.  Every step on a stack works
 member by member, a LAPACK gufunc (see `_lapack`) or one matrix-vector
 product per row, so a member's fit has the bits of its fit alone; that
-includes the closing score (`_fit_results`).
+includes the objective and score `_negloglik_and_grad`, which rank 1's
+BFGS iterates on and every fit closes with (`_fit_results`).
 
 Every other fit starts from the inversion clipped to the PSD cone,
 diagonalized once per table, each rank truncating that
@@ -38,11 +39,15 @@ damping, More 1978): it takes a fraction of BFGS's time, and from the
 same starts it almost always ends at the optimum BFGS ends at.  Rank 1
 runs BFGS from `_bfgs`, an in-package port of scipy's BFGS: the rank-1
 landscape has many optima, Newton ends at a different one from many of
-the starts, and that moves the published rank-1 AIC.  The port follows
-scipy bit for bit wherever its More-Thuente line search succeeds.
-scipy's fallback line search is left out: where it would rescue a step,
-the fit's log-likelihood moves only at round-off, and no selected rank
-or `converged` flag depends on it.  The package needs numpy only.
+the starts, and that moves the published rank-1 AIC.  One `minimize`
+call runs all of a fit's starts in lockstep on one stack, with one
+objective evaluation per round for every start still running.  The
+stacked steps work row by row, so each start's run is its run alone,
+and wherever the More-Thuente line search succeeds that run is scipy's
+from the same start, bit for bit.  scipy's fallback line search is left
+out: where it would rescue a step, the fit's log-likelihood moves only
+at round-off, and no selected rank or `converged` flag depends on it.
+The package needs numpy only.
 
 Each Newton trial step tests the damped Hessian for definiteness by
 Cholesky (`dpotrf`) and solves for the step by LU (`dgesv`), through
@@ -138,7 +143,7 @@ def _poisson(n, m, lgamma):
     counts n, lgamma = sum ln(n!), at the means M = max(m, MEAN_CLAMP);
     n and m may also be (m, 16) stacks, with lgamma one value per row."""
     m = np.maximum(m, MEAN_CLAMP)
-    return lgamma - (n * np.log(m) - m).sum(axis=-1), m
+    return lgamma - np.add.reduce(n * np.log(m) - m, -1), m
 
 
 def _negloglik(theta, n, pset, lgamma):
@@ -150,8 +155,17 @@ def _negloglik(theta, n, pset, lgamma):
 
 
 def _negloglik_and_grad(theta, n, pset, lgamma):
-    f, m, dm = _negloglik(theta, n, pset, lgamma)
-    return f, (1.0 - n / m) @ dm
+    """(f, g): the negative log-likelihood of the counts n at the rank
+    model theta, as `_negloglik`, and its gradient.  theta may be an
+    (m, k) stack, with n one table or one per row and lgamma one value
+    or one per row; each row is scored with its own matrix-vector
+    products, so that it has the bits of its score alone."""
+    k = theta.shape[-1]
+    t = theta[..., None]
+    qt = (pset.q[k] @ t).reshape(*theta.shape[:-1], 16, k)
+    f, m = _poisson(n, (qt @ t)[..., 0], lgamma)
+    # qt + qt is 2 qt to the bit
+    return f, ((1.0 - n / m)[..., None, :] @ (qt + qt))[..., 0, :]
 
 
 def _cholesky(a):
@@ -334,10 +348,11 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     iterations.  Otherwise it fits from the PSD-clipped linear
     inversion, then from `warm` (zero-padded to the rank's parameter
     count), then, at ranks 1-3, from `restarts` jittered copies of the
-    linear inversion; the best end point wins.  `restarts` does nothing
-    at rank 4 (see `_starts`).  Rank 1 runs the in-package port of
-    scipy's BFGS on the analytic score, ranks 2-4 damped Newton on the
-    analytic Hessian (see the module docstring for why the ranks
+    linear inversion; the best end point wins, the first in that order
+    on a tie.  `restarts` does nothing at rank 4 (see `_starts`).
+    Rank 1 runs the in-package port of scipy's BFGS on the analytic
+    score, from all its starts in lockstep, ranks 2-4 damped Newton on
+    the analytic Hessian (see the module docstring for why the ranks
     differ).  The jitter generator is fixed per rank, so the fit is a
     function of (counts, warm, restarts) alone.  `counts` may also be
     expected counts, as for a noiseless fit; all-zero counts and a
@@ -361,16 +376,18 @@ def mle(rank, counts, pset, warm=None, restarts=_N_RESTARTS, *,
     lgamma = inv.lgamma
     if rank == 4 and inv.factor is not None:
         return _saturated_fits(inv.factor[None], n[None], [lgamma], pset)[0]
+    starts = _starts(inv, rank, warm, restarts)
+    if rank == 1:
+        # one BFGS run per start, all in lockstep on one stack
+        with np.errstate(**_FIT_ERRSTATE):
+            fits = [(r.x, r.fun, r.nit) for r in minimize(
+                _negloglik_and_grad, np.array(starts), args=(n, pset, lgamma),
+                gtol=1e-7, maxiter=2000)]
+    else:
+        fits = [_newton(x0, n, pset, lgamma) for x0 in starts]
     total_iter = 0
     best_theta, best_f = None, None
-    for x0 in _starts(inv, rank, warm, restarts):
-        if rank == 1:
-            with np.errstate(**_FIT_ERRSTATE):
-                res = minimize(_negloglik_and_grad, x0, args=(n, pset, lgamma),
-                               gtol=1e-7, maxiter=2000)
-            end, f, nit = res.x, res.fun, res.nit
-        else:
-            end, f, nit = _newton(x0, n, pset, lgamma)
+    for end, f, nit in fits:
         total_iter += int(nit)
         if best_theta is None or f < best_f:
             best_theta, best_f = end, f
@@ -384,14 +401,8 @@ def _fit_results(rank, thetas, rhos, ns, pset, lgammas, iterations):
     """The EstimationResult of each rank fit in the rows of thetas, with
     state rhos[i], to the counts ns[i] (sum ln(n!) in lgammas[i]) on the
     set pset, each with `iterations`; `converged` reports whether the
-    score vanishes at theta.  The score is `_negloglik_and_grad`'s, run
-    on the stack one matrix-vector product per row, so that each
-    member has the bits of its score alone."""
-    k = thetas.shape[1]
-    qt = (pset.q[k] @ thetas[:, :, None]).reshape(len(thetas), 16, k)
-    fs, m = _poisson(ns, (qt @ thetas[:, :, None])[:, :, 0],
-                     np.array(lgammas))
-    gs = ((1.0 - ns / m)[:, None, :] @ (2.0 * qt))[:, 0]
+    score, `_negloglik_and_grad`'s on the stack, vanishes at theta."""
+    fs, gs = _negloglik_and_grad(thetas, ns, pset, np.array(lgammas))
     scales = (thetas[:, None, :] @ thetas[:, :, None])[:, 0, 0]
     results = []
     for theta, rho, f, g, scale in zip(thetas, rhos, fs.tolist(),

@@ -19,9 +19,8 @@ semidefinite by `_check_info_matrix`.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import pinv
 
-from ._lapack import eigh, eigvalsh
+from ._lapack import eigh, eigvalsh, pinv
 from .exceptions import (
     InconsistentDirectionError,
     InvariantViolation,

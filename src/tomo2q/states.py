@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigh, eigvalsh
+from ._lapack import eigh, eigvalsh, qr_r
 from .exceptions import DegenerateModelError, InvariantViolation
 
 SIGMA = np.array([
@@ -265,7 +265,7 @@ def _cholesky_from_eigh(w, v, lam, rank):
     order = np.argsort(w)[::-1][:rank]
     a = v[:, order] * np.sqrt(w[order] * lam)       # 4 x rank, A A* ~ lam rho
     # LQ: A = R* Q* with R* lower-trapezoidal; column phases fixed real
-    r = np.linalg.qr(a.conj().T, mode="r")
+    r = qr_r(a.conj().T)
     t4 = np.zeros((4, 4), dtype=complex)
     t4[:, :rank] = r.conj().T
     for j in range(rank):

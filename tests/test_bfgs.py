@@ -1,9 +1,11 @@
-"""The rank-1 BFGS port against scipy, and an import that needs numpy
-only."""
+"""The rank-1 BFGS port against scipy, its members' independence on a
+lockstep stack, and an import that needs numpy only."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import tomo2q
 from tomo2q import _bfgs
-from tomo2q.estimation import (_Inversion, _log_factorials,
+from tomo2q.estimation import (_FIT_ERRSTATE, _Inversion, _log_factorials,
                                _negloglik_and_grad, _starts, mle)
 
 # the published tables in row-major grid order (c01, c02)
@@ -33,6 +35,12 @@ MODIFIED = [4843, 117, 2554, 2479, 137, 4916, 2492, 2551,
             2508, 2567, 4819, 2495, 2462, 2493, 2577, 4915]
 
 
+VECTORS = pytest.mark.parametrize(
+    "counts, set_name", [(C01, "local"), (C02, "local"), (RESCUED, "insep"),
+                         (BISECTED, "local"), (MODIFIED, "local")],
+    ids=["c01", "c02", "fallback-rescue", "bisection", "modified-function"])
+
+
 def _scipy_1_17():
     scipy = pytest.importorskip("scipy")
     if tuple(map(int, scipy.__version__.split(".")[:2])) < (1, 17):
@@ -47,13 +55,23 @@ def _scipy_bfgs(optimize, x0, args):
                              options={"gtol": 1e-7, "maxiter": 2000})
 
 
-@pytest.mark.parametrize("counts, set_name", [(C01, "local"),
-                                              (C02, "local"),
-                                              (RESCUED, "insep"),
-                                              (BISECTED, "local"),
-                                              (MODIFIED, "local")],
-                         ids=["c01", "c02", "fallback-rescue", "bisection",
-                              "modified-function"])
+def _bfgs_stack(starts, args):
+    """The port's BfgsResults from the stack of starts, as `mle` runs it
+    at rank 1."""
+    return _bfgs.minimize(_negloglik_and_grad, np.array(starts), args=args,
+                          gtol=1e-7, maxiter=2000)
+
+
+def _assert_same_run(res, other):
+    """A member's run ends where the other run, the port's or scipy's,
+    ends, after as many iterations and evaluations, with the same
+    status."""
+    assert res.x.tobytes() == other.x.tobytes()
+    assert (res.fun, res.nit, res.nfev, res.status) == (
+        other.fun, other.nit, other.nfev, other.status)
+
+
+@VECTORS
 def test_bfgs_port_matches_scipy(local_set, insep_set, monkeypatch,
                                  counts, set_name):
     # the reference is scipy's BFGS with its fallback line search failing,
@@ -64,18 +82,57 @@ def test_bfgs_port_matches_scipy(local_set, insep_set, monkeypatch,
     pset = local_set if set_name == "local" else insep_set
     n = np.asarray(counts, dtype=float)
     args = (n, pset, _log_factorials(n))
-    statuses = set()
-    for x0 in _starts(_Inversion(n, pset), 1, None, 4):
-        ref = _scipy_bfgs(optimize, x0, args)
-        res = _bfgs.minimize(_negloglik_and_grad, x0, args=args, gtol=1e-7,
-                             maxiter=2000)
-        assert np.array_equal(res.x, ref.x)
-        assert res.fun == ref.fun
-        assert (res.nit, res.nfev, res.status) == (ref.nit, ref.nfev,
-                                                   ref.status)
-        statuses.add(res.status)
+    starts = _starts(_Inversion(n, pset), 1, None, 4)
+    # one lockstep run of every start; each member is scipy's run alone
+    results = _bfgs_stack(starts, args)
+    assert len(results) == len(starts)
+    for x0, res in zip(starts, results):
+        _assert_same_run(res, _scipy_bfgs(optimize, x0, args))
     if counts in (C01, C02):
-        assert 2 in statuses        # a start ends on a failed line search
+        # a start ends on a failed line search
+        assert 2 in {res.status for res in results}
+
+
+@VECTORS
+def test_each_member_has_the_bits_of_its_run_alone(local_set, insep_set,
+                                                   counts, set_name):
+    # a member's run depends on its start alone: in the full stack, as a
+    # stack of one and in reversed start order it ends at the same point
+    # after as many iterations and evaluations, with the same status.
+    # Fails if the members share a step length or an inverse-Hessian
+    # update, or if the objective runs one matrix product over the stack
+    pset = local_set if set_name == "local" else insep_set
+    n = np.asarray(counts, dtype=float)
+    args = (n, pset, _log_factorials(n))
+    starts = _starts(_Inversion(n, pset), 1, None, 4)
+    stacked = _bfgs_stack(starts, args)
+    backwards = _bfgs_stack(starts[::-1], args)[::-1]
+    for x0, res, back in zip(starts, stacked, backwards):
+        for other in (_bfgs_stack([x0], args)[0], back):
+            _assert_same_run(res, other)
+    assert stacked.nfev == sum(res.nfev for res in stacked)
+
+
+def test_overflowing_member_leaves_the_others_unchanged(local_set):
+    # the warm start of mle(1, c01, local, warm=[1e160] * 7): its means
+    # overflow, so its objective is NaN and it stops at once with status
+    # 3.  Under the fits' errstate no RuntimeWarning leaks, and every
+    # other member ends as it does without it
+    n = np.asarray(C01, dtype=float)
+    args = (n, local_set, _log_factorials(n))
+    starts = _starts(_Inversion(n, local_set), 1, None, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(**_FIT_ERRSTATE):
+            warmed = _bfgs_stack([starts[0], np.full(7, 1e160), *starts[1:]],
+                                 args)
+    overflowed = warmed[1]
+    assert overflowed.x.tobytes() == np.full(7, 1e160).tobytes()
+    assert math.isnan(overflowed.fun)
+    assert (overflowed.nit, overflowed.nfev, overflowed.status) == (0, 1, 3)
+    for res, other in zip(_bfgs_stack(starts, args),
+                          warmed[:1] + warmed[2:]):
+        _assert_same_run(res, other)
 
 
 def test_rank_1_fit_needs_no_fallback_search(insep_set):

@@ -678,9 +678,9 @@ def test_stacked_closing_score_has_each_members_own_bits(local_set,
                                                           insep_set):
     # `_fit_results` scores a stack one matrix-vector product per row;
     # each member's log-likelihood, score test and scale must be those of
-    # the one-vector kernel `_negloglik_and_grad` that the fits iterate
-    # on, and each member's `_rank_bounds` those of its stack of one.
-    # Fails if either runs one matrix product over the whole stack
+    # `_negloglik_and_grad` on that member alone, and each member's
+    # `_rank_bounds` those of its stack of one.  Fails if either runs one
+    # matrix product over the whole stack
     rng = np.random.default_rng(41)
     for pset in (local_set, insep_set):
         ns = rng.poisson(rng.uniform(1.0, 3e4, (40, 16))).astype(float) + 1.0

@@ -47,3 +47,36 @@ def test_a_nan_member_raises_a_typed_error(helper):
     a[2] = np.nan
     with pytest.raises(InvariantViolation, match="failed"):
         helper(a)
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+def test_qr_r_returns_numpy_linalg_bytes(complex_):
+    # the factors of `_cholesky_from_eigh`: rank x 4, rank 1 to 4
+    rng = np.random.default_rng(7)
+    for rows in (1, 2, 3, 4):
+        for _ in range(50):
+            a = rng.standard_normal((4, rows))
+            if complex_:
+                a = a + 1j * rng.standard_normal((4, rows))
+            a = a.conj().T          # a transposed view, as its caller's
+            before = a.copy()
+            r = _lapack.qr_r(a)
+            assert r.tobytes() == np.linalg.qr(a, mode="r").tobytes()
+            assert a.tobytes() == before.tobytes()     # input untouched
+
+
+def test_pinv_returns_numpy_linalg_bytes():
+    # Fisher matrices of every parameter count, some with a null space
+    # (the cutoff drops it) and some with a spread of scales
+    rng = np.random.default_rng(11)
+    for k in (7, 12, 15, 16):
+        for dropped in (0, 1, 3):
+            for _ in range(20):
+                b = rng.standard_normal((k, k - dropped))
+                b *= 10.0 ** rng.uniform(-4, 4, k - dropped)
+                a = b @ b.T
+                assert (_lapack.pinv(a, rcond=1e-10).tobytes()
+                        == np.linalg.pinv(a, rcond=1e-10).tobytes())
+    a = np.full((7, 7), np.nan)
+    with pytest.raises(InvariantViolation, match="failed"):
+        _lapack.pinv(a, rcond=1e-10)

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from tomo2q import _bfgs
 from tomo2q.cli import _config_from_args, build_parser
 from tomo2q.estimation import (_Inversion, _log_factorials, _loss_exceeds,
-                               _negloglik_and_grad, _poisson, _rank4_wins,
-                               _starts, log_likelihood, maice, mle)
+                               _poisson, _rank4_wins, _starts,
+                               log_likelihood, maice, mle)
 from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
 from tomo2q.projectors import mean_counts
@@ -32,7 +31,8 @@ from tomo2q.states import (
 )
 
 from conftest import lower_rank_bounds, random_model
-from test_bfgs import _scipy_1_17, _scipy_bfgs
+from test_bfgs import (_assert_same_run, _bfgs_stack, _scipy_1_17,
+                       _scipy_bfgs)
 
 
 def examples(n):
@@ -166,16 +166,12 @@ def test_bfgs_port_matches_scipy_bit_for_bit(sets, optimize, seed, preset,
                            np.random.default_rng(seed))
     n = counts.astype(float)
     args = (n, pset, _log_factorials(n))
+    starts = _starts(_Inversion(n, pset), 1, None, 4)
+    results = _bfgs_stack(starts, args)
     with mock.patch.object(optimize._optimize, "line_search_wolfe2",
                            lambda *a, **k: (None,) * 6):
-        for x0 in _starts(_Inversion(n, pset), 1, None, 4):
-            ref = _scipy_bfgs(optimize, x0, args)
-            res = _bfgs.minimize(_negloglik_and_grad, x0, args=args,
-                                 gtol=1e-7, maxiter=2000)
-            assert np.array_equal(res.x, ref.x)
-            assert res.fun == ref.fun
-            assert (res.nit, res.nfev, res.status) == (
-                ref.nit, ref.nfev, ref.status)
+        for x0, res in zip(starts, results):
+            _assert_same_run(res, _scipy_bfgs(optimize, x0, args))
 
 
 @examples(60)
