@@ -20,9 +20,11 @@ rank-4 fit is then X_n's Cholesky factor, with 0 iterations, read off
 a stack of factors by `_saturated_fits`, `mle`'s on a stack of one.  A
 sweep (`_closed_form_step`) draws all its trials' counts first and
 decides and fits the whole stack: it asks, from each trial's counts
-alone, whether a bound on ranks 1-3 proves that the saturated fit wins
-the AIC, fits the members it proves in closed form, and leaves every
-other member to its own `maice` fit.  Every step on a stack works
+alone, which of ranks 1-3 a likelihood bound proves lose the AIC to
+the saturated fit (`_ranks_ruled_out`), fits in closed form the members
+where all three lose, and leaves every other member to its own
+`_fit_ranks`, the chain of warm-started fits behind `maice`, over the
+ranks left open and rank 4.  Every step on a stack works
 member by member, a LAPACK gufunc (see `_lapack`) or one matrix-vector
 product per row, so a member's fit has the bits of its fit alone; that
 includes the objective and score `_negloglik_and_grad`, which rank 1's
@@ -85,10 +87,10 @@ from .states import (
     density_from_pauli,
 )
 
-# per unit of total count: how far the rank 1-3 likelihood bound must
-# trail a rank-4 fit before `_rank4_wins` lets the fit stand for MAICE's
-# pick; orders of magnitude above a log-likelihood's round-off and the
-# effect of MEAN_CLAMP
+# per unit of total count: how far the likelihood bound on a rank 1-3
+# model must trail a rank-4 fit before `_ranks_ruled_out` rules the rank
+# out of MAICE's pick; orders of magnitude above a log-likelihood's
+# round-off and the effect of MEAN_CLAMP
 _BOUND_MARGIN = 1e-6
 _N_RESTARTS = 4
 # damped Newton (ranks 2-4): initial, smallest and largest damping, the
@@ -460,11 +462,21 @@ def maice(counts, pset, restarts=_N_RESTARTS):
     `restarts` raise InvariantViolation, as in `mle`.
     """
     _check_restarts(restarts)
+    return _fit_ranks(counts, pset, restarts, (1, 2, 3, 4))
+
+
+def _fit_ranks(counts, pset, restarts, ranks):
+    """`maice` over the increasing `ranks` alone: (pick, fits).  Each
+    rank is warm-started from the fit of the rank before it in `ranks`,
+    and all share one `_Inversion`; the pick has the minimum AIC, ties
+    toward fewer parameters.  A sweep trial passes the ranks that
+    `_ranks_ruled_out` leaves open, and rank 4.  It calls `mle` through
+    this module's global, which perfbench's tracing patches."""
     n = check_counts(counts)
     inv = _Inversion(n, pset)
     results = []
     warm = None
-    for rank in (1, 2, 3, 4):
+    for rank in ranks:
         r = mle(rank, n, pset, warm=warm, restarts=restarts,
                 _inversion=inv)
         results.append(r)
@@ -479,7 +491,7 @@ def _rank_bounds(ns, xns, pset):
     short of the saturated log-likelihood ll_sat (every mean equal to
     its count) by at least L(a_r) = max_c min(n_min h(c), a_r / c).
     The set must be complete, and every member's 16 counts positive;
-    the bar of `_rank4_wins` needs X_n positive definite too.
+    `_ranks_ruled_out` needs X_n positive definite too.
 
     Proof.  With h(x) = x - 1 - ln x >= 0, any means M lose
     ll_sat - ll(M) = sum_nu n_nu h(M_nu / n_nu).  Fix c > 1.
@@ -508,8 +520,8 @@ def _rank_bounds(ns, xns, pset):
     d_r^2 = sum_{i>r} mu_i^2.  Elsewhere mu_4 <= 0, so
     d_3^2 = sum_{i<=3} min(mu_i, 0)^2 + mu_4^2 = d_4^2: every rank-4
     model of log-likelihood ll4 loses L(a_3), so none clears the rank-3
-    bar L(a_3) > ll_sat - ll4 + 1 + margin that `_rank4_wins` asks at
-    ll4 = ll_sat.
+    bar L(a_3) > ll_sat - ll4 + 1 + margin that `_ranks_ruled_out` asks
+    at ll4 = ll_sat.
     """
     mus = eigvalsh(xns)[:, ::-1].tolist()
     ss = svdvals(pset.b / np.sqrt(ns)[:, :, None])[:, -1].tolist()
@@ -530,36 +542,43 @@ def _loss_exceeds(n_min, a, loss):
     return c > 1.0 and n_min * (c - 1.0 - math.log(c)) > loss
 
 
-def _rank4_wins(bounds):
-    """Whether one member's `bounds` from `_rank_bounds` prove that the
-    saturated fit, the closed-form rank-4 fit, has a lower AIC than every
-    rank 1-3 model: each rank-r model must fall short of ll_sat by more
-    than k_4 - k_r plus _BOUND_MARGIN per count, which covers the closed
-    form's round-off below ll_sat and leaves no tie to fewer
-    parameters."""
+def _ranks_ruled_out(bounds):
+    """The ranks among 1-3 that one member's `bounds` from `_rank_bounds`
+    prove cannot be MAICE's pick, as they lose to the saturated fit, the
+    closed-form rank-4 fit: every rank-r model must fall short of ll_sat
+    by more than k_4 - k_r plus _BOUND_MARGIN per count, which covers
+    the closed form's round-off below ll_sat and leaves no tie to fewer
+    parameters.  (1, 2, 3) makes the saturated fit the pick."""
     n_min, n_total, a = bounds
     margin = _BOUND_MARGIN * (1.0 + n_total)
     k4 = RANK_NPARAMS[4]
-    return all(_loss_exceeds(n_min, a_r, k4 - RANK_NPARAMS[r] + margin)
-               for r, a_r in zip((1, 2, 3), a))
+    return tuple(r for r, a_r in zip((1, 2, 3), a)
+                 if _loss_exceeds(n_min, a_r, k4 - RANK_NPARAMS[r] + margin))
 
 
 def _closed_form_step(ns, pset, prune):
     """The closed-form rank-4 step of a sweep, on the (m, 16) stack ns of
-    count vectors: for each member its `_saturated_fits` result, or None
-    where the member needs a fit that iterates.  The linear algebra runs
-    once on the stack, the scalar bound and closing score per member.
-    Where X_n is positive definite the result is `mle(4, n, pset)`;
-    with `prune` it must also pass `_rank4_wins`, and is then
-    `maice(n, pset, restarts)`'s pick, for any restarts.  Where X_n is
-    not positive definite no rank-4 fit could pass (see `_rank_bounds`).
+    count vectors: for each member its `_saturated_fits` result, or the
+    increasing ranks, ending in 4, that its `_fit_ranks` fit must still
+    try.  The linear algebra runs once on the stack, the scalar bound
+    and closing score per member.  Without `prune` (mle16) a member
+    whose X_n is positive definite gets the closed form,
+    `mle(4, n, pset)`, and every other member (4,).  With `prune`
+    (MAICE) a member whose X_n is positive definite gets the ranks that
+    `_ranks_ruled_out` leaves open, and 4; where that is 4 alone it gets
+    the closed form, which is then `maice(n, pset, restarts)`'s pick
+    for any restarts.  A member whose X_n is not positive definite has
+    no bound (see `_rank_bounds`) and gets (1, 2, 3, 4).
     """
-    results = [None] * len(ns)
+    results = [(1, 2, 3, 4) if prune else (4,)] * len(ns)
     _, xns, factors, ok = _invert(ns, pset)
     idx = np.flatnonzero(ok)
     if prune and idx.size:
-        idx = idx[[_rank4_wins(b)
-                   for b in _rank_bounds(ns[idx], xns[idx], pset)]]
+        for i, bounds in zip(idx.tolist(),
+                             _rank_bounds(ns[idx], xns[idx], pset)):
+            out = _ranks_ruled_out(bounds)
+            results[i] = tuple(r for r in (1, 2, 3, 4) if r not in out)
+        idx = idx[[results[i] == (4,) for i in idx.tolist()]]
     if idx.size:
         lgammas = [_log_factorials(n) for n in ns[idx]]
         fits = _saturated_fits(factors[idx], ns[idx], lgammas, pset)

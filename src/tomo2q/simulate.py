@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimationResult, _closed_form_step, maice, mle
+# maice and mle stay importable here because perfbench's tracing patches
+# them; a sweep's fallback fits through `_fit_ranks`, whose `mle` calls
+# look up estimation's binding
+from .estimation import (EstimationResult, _closed_form_step, _fit_ranks,
+                         maice,  # noqa: F401
+                         mle)  # noqa: F401
 from .exceptions import CountsParseError, InvariantViolation
 from .fisher import BoundReport, bound_coefficient
 # run_sweep decomposes the truth once, draws from means computed once
@@ -211,9 +216,15 @@ def run_sweep(config):
     definite, its rank-4 fit is the closed-form saturated MLE with 0
     iterations, and that fit is the mle16 estimate.  A MAICE trial keeps
     it only where a closed-form test on a likelihood bound, computed
-    from the counts alone, proves that it wins the AIC comparison, as
-    it does in most trials of a full-rank truth at lambda >= 1e3.  Every
-    other trial falls back to its own `mle(4, ...)` or `maice` fit.  The
+    from the counts alone, rules out each of ranks 1-3 from the AIC
+    pick, as it does in most trials of a full-rank truth at
+    lambda >= 1e3.  Every other trial falls back to its own fit
+    (`estimation._fit_ranks`): rank 4 alone for mle16, and for MAICE
+    the ranks the test leaves open and rank 4, each warm-started from
+    the fit before it, picked by minimum AIC as `maice` picks.  A
+    ruled-out rank cannot be the pick, but neither is it there to
+    warm-start the rank above it, so a fallback pick is `maice`'s where
+    the open ranks reach the fits they reach in `maice`.  The
     estimates' density checks and fidelities to the truth run on one
     stack too.  The truth is decomposed once, by `eigh`: its density
     check, minimal rank, Cholesky model and square root all read that
@@ -232,21 +243,22 @@ def run_sweep(config):
 
     lam_values = np.array(sorted(config.rate * t
                                  for t in config.acquisition_times))
-    trials, pick = config.trials, config.estimator == "maice"
+    trials = config.trials
     means = _scaled_means(_probabilities(rho_true, pset),
                           lam_values[:, None])
     counts = [_draw(means[li], lam,
                     np.random.default_rng([config.seed, li, ti]))
               for li, lam in enumerate(lam_values) for ti in range(trials)]
-    fits = _closed_form_step(np.array(counts, dtype=float), pset, pick)
+    fits = _closed_form_step(np.array(counts, dtype=float), pset,
+                             config.estimator == "maice")
     excluded = []
     for li, lam in enumerate(lam_values):
         for ti in range(trials):
             k = li * trials + ti
-            if fits[k] is None:
+            if isinstance(fits[k], tuple):
                 try:
-                    fits[k] = (maice(counts[k], pset, _SWEEP_RESTARTS)[0]
-                               if pick else mle(4, counts[k], pset))
+                    fits[k] = _fit_ranks(counts[k], pset, _SWEEP_RESTARTS,
+                                         fits[k])[0]
                 except InvariantViolation as e:
                     raise InvariantViolation(
                         f"lambda={lam:g}, trial {ti}: {e}") from None

@@ -109,12 +109,12 @@ def test_simulate_all_zero_trial_names_its_lambda_and_trial(capsys):
 
 
 def test_simulate_reports_excluded_trials(tmp_path, capsys, monkeypatch):
-    # the first of 20 maice fits at lambda 1e2 is marked non-converged:
+    # the first of 20 fallback fits at lambda 1e2 is marked non-converged:
     # within the 5% allowance, so the sweep writes its row and the
     # command names the excluded count.  Fails if that message is not
     # printed.
     import tomo2q.simulate as sim
-    real, calls = sim.maice, []
+    real, calls = sim._fit_ranks, []
 
     def first_unconverged(*args, **kwargs):
         best, table = real(*args, **kwargs)
@@ -123,7 +123,7 @@ def test_simulate_reports_excluded_trials(tmp_path, capsys, monkeypatch):
             best = dataclasses.replace(best, converged=False)
         return best, table
 
-    monkeypatch.setattr(sim, "maice", first_unconverged)
+    monkeypatch.setattr(sim, "_fit_ranks", first_unconverged)
     out = tmp_path / "sweep.csv"
     rc = main(["simulate", "--state", "mixed", "--rate", "500", "--times",
                "0.2", "--trials", "20", "--seed", "1", "--out", str(out)])

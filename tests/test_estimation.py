@@ -21,8 +21,8 @@ from tomo2q.estimation import (
     _newton,
     _padded_warm,
     _poisson,
-    _rank4_wins,
     _rank_bounds,
+    _ranks_ruled_out,
     _starts,
     EstimationResult,
     aic,
@@ -420,7 +420,7 @@ def test_lower_rank_bounds_hold_on_every_corpus_fit(corpus_tables):
 
 
 def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
-    # the bar is the closed-form test _rank4_wins, asked at the saturated
+    # the bar is the closed-form test _ranks_ruled_out, asked at the saturated
     # log-likelihood: it passes on every mixed-state vector at
     # lambda >= 1e3, where maice selects rank 4, and on no bell or
     # product vector (near-pure truth, boundary regime); wherever it
@@ -428,7 +428,7 @@ def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
     pruned = 0
     for label, pset, counts, table in corpus_tables:
         bounds = lower_rank_bounds(counts, pset)
-        wins = bounds is not None and _rank4_wins(bounds)
+        wins = bounds is not None and _ranks_ruled_out(bounds) == (1, 2, 3)
         if label.startswith("mixed/") and "/1e2/" not in label:
             assert wins, label
         elif not label.startswith("mixed/"):
@@ -437,6 +437,36 @@ def test_rank4_bar_prunes_only_full_rank_truths(corpus_tables):
             assert table[3].aic < min(r.aic for r in table[:3]), label
             pruned += 1
     assert pruned >= 30
+
+
+def test_ruled_out_ranks_lose_to_rank_4(corpus_tables, local_set,
+                                        insep_set):
+    # wherever `_ranks_ruled_out` rules out rank r, maice's rank-r fit
+    # has a higher AIC than its rank-4 fit.  No corpus table has only
+    # some of ranks 1-3 ruled out, so mixed-state draws at lambda 5e2,
+    # 7e2 and 1e3 join it, where the bound often rules out rank 3, or
+    # ranks 2 and 3, alone.  Fails if the threshold drops k_4 - k_r (the
+    # margin alone), or if rank r reads another rank's a (a reversed), as
+    # then a rank that beats rank 4 is ruled out; and fails its count of
+    # partial rule-outs if the rule is all or nothing
+    mixed = preset_state("mixed")
+    tables = list(corpus_tables)
+    for s, pset in enumerate((local_set, insep_set)):
+        for lam in (500, 700, 1000):
+            for d in range(8):
+                counts = sample_counts(mixed, pset, lam,
+                                       np.random.default_rng([0, s, lam, d]))
+                tables.append((f"mixed/{s}/{lam}/{d}", pset, counts,
+                               maice(counts, pset, 1)[1]))
+    kinds = {"all": 0, "partial": 0}
+    for label, pset, counts, table in tables:
+        bounds = lower_rank_bounds(counts, pset)
+        out = () if bounds is None else _ranks_ruled_out(bounds)
+        for r in out:
+            assert table[r - 1].aic > table[3].aic, (label, r)
+        kinds["all"] += len(out) == 3
+        kinds["partial"] += 0 < len(out) < 3
+    assert kinds["all"] >= 30 and kinds["partial"] >= 5
 
 
 def test_loss_exceeds_agrees_with_a_dense_scan_over_c():

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tomo2q.cli import _config_from_args, build_parser
 from tomo2q.estimation import (_Inversion, _log_factorials, _loss_exceeds,
-                               _poisson, _rank4_wins, _starts,
+                               _poisson, _ranks_ruled_out, _starts,
                                log_likelihood, maice, mle)
 from tomo2q.exceptions import CountsParseError, TomographyError
 from tomo2q.fisher import bound_coefficient
@@ -130,7 +130,7 @@ def test_indefinite_inversion_never_lets_rank_4_win(sets, seed, true_rank,
     fit = mle(4, counts, pset)      # Newton from the clipped inversion
     assert not _loss_exceeds(n.min(), a[3], ll_sat - fit.log_likelihood)
     bounds = (n.min(), n.sum(), tuple(a[:3]))
-    assert not _rank4_wins(bounds)
+    assert _ranks_ruled_out(bounds) != (1, 2, 3)
 
 
 @examples(100)

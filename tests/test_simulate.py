@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tomo2q.estimation import _Inversion, _rank4_wins, maice, mle
+from tomo2q.estimation import _Inversion, _ranks_ruled_out, maice, mle
 from tomo2q.exceptions import CountsParseError, InvariantViolation
 from tomo2q.projectors import local_projector_set, mean_counts_of_density
 from tomo2q.simulate import (
@@ -224,7 +224,8 @@ def test_sweep_trial_fit_is_the_standalone_fit():
                 assert np.array_equal(rec.result.theta_hat, alone.theta_hat)
                 assert rec.result.log_likelihood == alone.log_likelihood
                 bounds = lower_rank_bounds(rec.counts, pset)
-                pruned += bounds is not None and _rank4_wins(bounds)
+                pruned += (bounds is not None
+                           and _ranks_ruled_out(bounds) == (1, 2, 3))
         if state == "bell":
             assert pruned == 0
         else:
@@ -234,7 +235,8 @@ def test_sweep_trial_fit_is_the_standalone_fit():
 def test_pruned_sweep_trial_inverts_its_counts_once(monkeypatch):
     # every mixed-state trial at lambda 1e4 fits rank 4 alone; the sweep's
     # bounds and closed-form fits share one solve of B x = n and one
-    # stack of X_n for all its trials, and no Newton step or maice runs
+    # stack of X_n for all its trials, and no Newton step or fallback
+    # fit runs
     import tomo2q.estimation as est
     import tomo2q.simulate as sim
 
@@ -256,7 +258,7 @@ def test_pruned_sweep_trial_inverts_its_counts_once(monkeypatch):
     monkeypatch.setattr(est, "_pauli_densities", pauli)
     monkeypatch.setattr(est, "_newton", unexpected)
     monkeypatch.setattr(est, "maice", unexpected)
-    monkeypatch.setattr(sim, "maice", unexpected)
+    monkeypatch.setattr(sim, "_fit_ranks", unexpected)
     cfg = small_config(acquisition_times=(20.0,), trials=8)
     res = run_sweep(cfg)
     assert all(rec.result.rank == 4 for rec in res.records[0])
@@ -266,7 +268,8 @@ def test_pruned_sweep_trial_inverts_its_counts_once(monkeypatch):
 def test_fallback_sweep_trial_fits_rank_4_once(monkeypatch):
     # at lambda 1e2 most mixed-state trials have a positive definite
     # inversion whose bound does not prove rank 4; the trial decides that
-    # from its counts and goes to maice without fitting rank 4 first
+    # from its counts and goes to its fallback fit without fitting rank 4
+    # first
     import tomo2q.estimation as est
     import tomo2q.simulate as sim
 
@@ -286,8 +289,45 @@ def test_fallback_sweep_trial_fits_rank_4_once(monkeypatch):
     assert sum(rank4) == cfg.trials
     undecided = [lower_rank_bounds(rec.counts, pset)
                  for rec in res.records[0]]
-    assert sum(b is not None and not _rank4_wins(b)
+    assert sum(b is not None and _ranks_ruled_out(b) != (1, 2, 3)
                for b in undecided) > cfg.trials // 2
+
+
+def test_partial_fallback_fits_only_the_open_ranks(monkeypatch):
+    # at lambda 1e3 a few mixed-state trials have a positive definite
+    # inversion whose bound rules out some of ranks 1-3 but not all
+    # (here trials 17, 40 and 44, with rank 1, ranks 1 and 2, and ranks
+    # 1 and 3 ruled out); such a trial fits the ranks left open and
+    # rank 4, each once, and never a ruled-out rank.  Its pick must
+    # still be maice's, bit for bit
+    import tomo2q.estimation as est
+    import tomo2q.simulate as sim
+
+    pset = local_projector_set()
+    real_mle, real_fit = est.mle, sim._fit_ranks
+    fitted = []     # per fallback trial, the ranks `mle` fitted
+
+    def fit_ranks(*args, **kwargs):
+        fitted.append([])
+        return real_fit(*args, **kwargs)
+
+    def counting_mle(rank, *args, **kwargs):
+        fitted[-1].append(rank)
+        return real_mle(rank, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_fit_ranks", fit_ranks)
+    monkeypatch.setattr(est, "mle", counting_mle)
+    monkeypatch.setattr(sim, "mle", counting_mle)
+    res = run_sweep(small_config(trials=45, seed=9))
+    monkeypatch.undo()
+    ruled_out = [_ranks_ruled_out(lower_rank_bounds(rec.counts, pset))
+                 for rec in res.records[0]]
+    open_ranks = [tuple(r for r in (1, 2, 3) if r not in out)
+                  for out in ruled_out if out != (1, 2, 3)]
+    assert sum(0 < len(ranks) < 3 for ranks in open_ranks) >= 3
+    assert fitted == [[*ranks, 4] for ranks in open_ranks]
+    for rec in res.records[0]:
+        assert _same_fit(rec.result, maice(rec.counts, pset, 1)[0])
 
 
 def test_sweep_of_a_cholesky_model_truth():
@@ -336,25 +376,27 @@ def test_sweep_truth_path_is_the_public_functions():
 
 def test_run_sweep_failure_rate_guard(monkeypatch):
     # a mixed-state trial at lambda 1e3 mostly fits rank 4 alone in the
-    # sweep's closed-form step, a bell-state trial falls back to maice;
-    # either path's non-converged estimates must reach the guard
+    # sweep's closed-form step, a bell-state trial falls back to its
+    # fits of every rank; either path's non-converged estimates must
+    # reach the guard
     import tomo2q.simulate as sim
 
-    real_step, real_maice = sim._closed_form_step, sim.maice
+    real_step, real_fit = sim._closed_form_step, sim._fit_ranks
 
     def failing_step(ns, pset, prune):
-        return [None if r is None else dataclasses.replace(r, converged=False)
+        return [r if isinstance(r, tuple)
+                else dataclasses.replace(r, converged=False)
                 for r in real_step(ns, pset, prune)]
 
-    def failing_maice(counts, pset, restarts=1):
-        best, table = real_maice(counts, pset, restarts=restarts)
+    def failing_fit(counts, pset, restarts, ranks):
+        best, table = real_fit(counts, pset, restarts, ranks)
         return dataclasses.replace(best, converged=False), table
 
     # each path alone, the other path's estimates converging
-    for state, step, fallback in (("mixed", failing_step, real_maice),
-                                  ("bell", real_step, failing_maice)):
+    for state, step, fallback in (("mixed", failing_step, real_fit),
+                                  ("bell", real_step, failing_fit)):
         monkeypatch.setattr(sim, "_closed_form_step", step)
-        monkeypatch.setattr(sim, "maice", fallback)
+        monkeypatch.setattr(sim, "_fit_ranks", fallback)
         with pytest.raises(InvariantViolation,
                            match="failed to converge at lambda=1000"):
             run_sweep(small_config(true_state=state, trials=4))
@@ -366,28 +408,28 @@ def test_sweep_estimate_failing_check_density_names_its_trial(monkeypatch):
     # closed-form path (mixed, lambda 1e4) and the fallback path (bell)
     import tomo2q.simulate as sim
 
-    real_step, real_maice = sim._closed_form_step, sim.maice
+    real_step, real_fit = sim._closed_form_step, sim._fit_ranks
     skewed = np.zeros((4, 4))
     skewed[0, 1] = 1e-9
 
     def step(ns, pset, prune):
         fits = real_step(ns, pset, prune)
-        if fits[2] is not None:
+        if not isinstance(fits[2], tuple):
             rho = fits[2].rho_hat
             fits[2] = dataclasses.replace(fits[2], rho_hat=2.0 * rho)
         return fits
 
     calls = []
 
-    def skewing_maice(counts, pset, restarts=1):
-        best, table = real_maice(counts, pset, restarts=restarts)
+    def skewing_fit(counts, pset, restarts, ranks):
+        best, table = real_fit(counts, pset, restarts, ranks)
         calls.append(None)
         if len(calls) == 2:
             best = dataclasses.replace(best, rho_hat=best.rho_hat + skewed)
         return best, table
 
     monkeypatch.setattr(sim, "_closed_form_step", step)
-    monkeypatch.setattr(sim, "maice", skewing_maice)
+    monkeypatch.setattr(sim, "_fit_ranks", skewing_fit)
     with pytest.raises(InvariantViolation,
                        match=r"^lambda=10000, trial 2: trace is 2\+0j, "
                              r"expected 1$"):
@@ -410,7 +452,8 @@ def test_batched_sweep_records_are_the_standalone_fits():
     # the fit of its counts alone, bit for bit: the closed form of
     # mle(4, ...) where the bar proves rank 4 (mle16: where X_n is
     # positive definite), else maice's pick (mle16: Newton), with the
-    # same prune decision as the counts' own bound
+    # same prune decision as the counts' own bound; some fallback trials
+    # fit only the ranks that bound leaves open
     bench = dict(acquisition_times=(2.0, 6.0, 20.0, 60.0, 200.0), trials=1)
     runs = [("local", "maice", bench, range(100)),
             ("inseparable", "maice", bench, range(20)),
@@ -418,7 +461,7 @@ def test_batched_sweep_records_are_the_standalone_fits():
              (4,)),
             ("inseparable", "mle16",
              dict(acquisition_times=(0.2, 2.0, 20.0), trials=8), (4,))]
-    kinds = {"closed": 0, "fallback": 0}
+    kinds = {"closed": 0, "fallback": 0, "partial": 0}
     for basis, estimator, grid, seeds in runs:
         pset = small_config(basis=basis).resolve_set()
         for seed in seeds:
@@ -429,15 +472,18 @@ def test_batched_sweep_records_are_the_standalone_fits():
             for rec in (r for recs in res.records for r in recs):
                 inv = _Inversion(rec.counts.astype(float), pset)
                 bounds = lower_rank_bounds(rec.counts, pset)
+                out = () if bounds is None else _ranks_ruled_out(bounds)
                 closed = (inv.factor is not None if estimator == "mle16"
-                          else bounds is not None and _rank4_wins(bounds))
+                          else out == (1, 2, 3))
                 if closed or estimator == "mle16":
                     alone = mle(4, rec.counts, pset)
                 else:
                     alone = maice(rec.counts, pset, 1)[0]
                 assert _same_fit(rec.result, alone), (basis, seed)
                 kinds["closed" if closed else "fallback"] += 1
+                kinds["partial"] += estimator == "maice" and 0 < len(out) < 3
     assert kinds["closed"] > 500 and kinds["fallback"] > 10
+    assert kinds["partial"] >= 1
 
 
 def test_emit_results_header_and_format(tmp_path):
